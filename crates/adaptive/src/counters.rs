@@ -29,10 +29,10 @@ struct Inner {
 /// representation: points are interned once into a [`SlotMap`] (read lock
 /// on re-resolution, write lock only for a never-seen point) and counts
 /// live in a [`pgmp_rt::AtomicSlotArray`], so a hit on a known slot is a
-/// single relaxed fetch-add — no lock, no hashing. Compare the lock-striped
-/// [`pgmp_rt::ShardedRegistry`] this type used to wrap, where every bump
-/// hashed the key and took a stripe's read lock. (The name survives the
-/// representation change; so does the whole API.)
+/// single relaxed fetch-add — no lock, no hashing. (The type once wrapped
+/// a lock-striped hash registry, where every bump hashed the key and took
+/// a stripe's read lock; the name survives the representation change, and
+/// so does the whole API.)
 ///
 /// Handles are cheaply cloneable and share state, mirroring the `Counters`
 /// API. For write-heavy workers, [`ShardedCounters::writer`] hands out a

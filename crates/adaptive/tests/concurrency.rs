@@ -4,10 +4,10 @@
 
 use pgmp_adaptive::ShardedCounters;
 use pgmp_profiler::Dataset;
-use pgmp_rt::ShardedRegistry;
 use pgmp_syntax::SourceObject;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 fn point(n: u32) -> SourceObject {
     SourceObject::new("conc.scm", n, n + 1)
@@ -133,38 +133,42 @@ fn concurrent_drain_partitions_every_hit() {
     );
 }
 
-/// Concurrent equivalence oracle: the dense slot-indexed registry and the
-/// lock-striped hash registry it replaced agree on every per-point count
-/// after identical concurrent workloads.
+/// Concurrent equivalence oracle: the dense slot-indexed registry agrees
+/// with a `Mutex<HashMap>` reference model on every per-point count after
+/// identical concurrent workloads.
 #[test]
-fn dense_registry_agrees_with_lock_striped_oracle() {
+fn dense_registry_agrees_with_mutex_reference_model() {
     const THREADS: u64 = 6;
     const PER_THREAD: u64 = 5_000;
     const POINTS: u64 = 11;
 
     let dense = ShardedCounters::new();
-    let oracle: ShardedRegistry<SourceObject> = ShardedRegistry::new();
+    let model: Mutex<HashMap<SourceObject, u64>> = Mutex::default();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             let dense = dense.clone();
-            let oracle = &oracle;
+            let model = &model;
             s.spawn(move || {
                 for i in 0..PER_THREAD {
                     let p = point(((t * 3 + i) % POINTS) as u32);
                     let n = 1 + (t + i) % 4;
                     dense.add(p, n);
-                    oracle.add(&p, n);
+                    *model.lock().unwrap().entry(p).or_insert(0) += n;
                 }
             });
         }
     });
+    let model = model.into_inner().unwrap();
     for raw in 0..POINTS {
         let p = point(raw as u32);
-        assert_eq!(dense.count(p), oracle.count(&p), "point {raw}");
+        assert_eq!(
+            dense.count(p),
+            model.get(&p).copied().unwrap_or(0),
+            "point {raw}"
+        );
     }
     let dense_total: u64 = dense.snapshot().iter().map(|(_, c)| c).sum();
-    let oracle_total: u64 = oracle.snapshot().iter().map(|(_, c)| c).sum();
-    assert_eq!(dense_total, oracle_total);
+    assert_eq!(dense_total, model.values().sum::<u64>());
 }
 
 /// Per-thread coalescing writers lose nothing: once every writer has

@@ -1,6 +1,7 @@
 //! E10 bench — the Rust proc-macro implementation: arm order chosen by a
 //! (fixture) profile vs. source order, plus the cost of the `hit`
-//! instrumentation when profiling is disabled.
+//! instrumentation, disabled and enabled: by name (`pgmp_rt::hit`) and
+//! through a call-site `Point`, as the macros emit it.
 //!
 //! The fixture `profiles/skewed.pgmp` (relative to this crate) marks arm
 //! #3 as the hottest, inverting the source order.
@@ -62,15 +63,17 @@ fn bench_exclusive_cond(c: &mut Criterion) {
 }
 
 fn bench_hit_overhead(c: &mut Criterion) {
+    static POINT: pgmp_rt::Point = pgmp_rt::Point::new("bench-static-point");
     let mut group = c.benchmark_group("e10_hit_overhead");
-    pgmp_rt::disable_profiling();
     group.bench_function("hit-disabled", |b| {
         b.iter(|| pgmp_rt::hit(black_box("bench-point")))
     });
+    group.bench_function("point-disabled", |b| b.iter(|| black_box(&POINT).hit()));
     pgmp_rt::enable_profiling();
     group.bench_function("hit-enabled", |b| {
         b.iter(|| pgmp_rt::hit(black_box("bench-point")))
     });
+    group.bench_function("point-enabled", |b| b.iter(|| black_box(&POINT).hit()));
     pgmp_rt::disable_profiling();
     group.finish();
 }

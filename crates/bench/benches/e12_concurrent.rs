@@ -11,10 +11,10 @@
 //! degenerates to per-op overhead (where the two designs are within ~15%
 //! of each other; see `DESIGN.md`).
 //!
-//! A second pair benchmarks the proc-macro runtime registry this PR
-//! replaced: the seed's global `Mutex<HashMap<String, u64>>` — which
-//! allocated a `String` per hit — against `pgmp-rt`'s sharded registry,
-//! which takes `&str` and allocates only on first sight of a point.
+//! A second pair benchmarks the proc-macro runtime: the seed's global
+//! `Mutex<HashMap<String, u64>>` — which allocated a `String` per hit —
+//! against a `pgmp_rt::Profiler` hit through slots resolved once, as the
+//! macro-generated `Point`s do, into per-thread single-writer lanes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pgmp_adaptive::ShardedCounters;
@@ -128,17 +128,16 @@ fn bench_concurrent_counters(c: &mut Criterion) {
     }
     group.finish();
 
-    // The proc-macro runtime pair: string-keyed profile points.
+    // The proc-macro runtime pair: named profile points.
     let names: Vec<String> = (0..POINTS).map(|i| format!("bench::arm#{i}")).collect();
-    let hammer_str = |iters: u64, threads: usize, hit: &(dyn Fn(&str) + Sync)| {
+    let hammer_points = |iters: u64, threads: usize, hit: &(dyn Fn(usize) + Sync)| {
         let start = Instant::now();
         for _ in 0..iters {
             std::thread::scope(|s| {
                 for t in 0..threads {
-                    let names = &names;
                     s.spawn(move || {
                         for i in 0..HITS_PER_THREAD {
-                            hit(&names[(i as usize + t) % POINTS]);
+                            hit((i as usize + t) % POINTS);
                         }
                     });
                 }
@@ -149,14 +148,16 @@ fn bench_concurrent_counters(c: &mut Criterion) {
     let mut group = c.benchmark_group("e12_rt_registry");
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("sharded-str", threads),
+            BenchmarkId::new("rt-point-lanes", threads),
             &threads,
             |b, &threads| {
-                let reg: pgmp_rt::ShardedRegistry<String> = pgmp_rt::ShardedRegistry::new();
+                let profiler = pgmp_rt::Profiler::new();
+                profiler.enable();
+                let slots: Vec<u32> = names.iter().map(|n| profiler.slot(n)).collect();
                 b.iter_custom(|iters| {
-                    let d = hammer_str(iters, threads, &|p| reg.increment(p));
-                    black_box(reg.snapshot());
-                    reg.clear();
+                    let d = hammer_points(iters, threads, &|i| profiler.hit_slot(slots[i]));
+                    black_box(profiler.snapshot_weights());
+                    profiler.reset();
                     d
                 });
             },
@@ -167,7 +168,7 @@ fn bench_concurrent_counters(c: &mut Criterion) {
             |b, &threads| {
                 let reg = SeedRtRegistry::default();
                 b.iter_custom(|iters| {
-                    let d = hammer_str(iters, threads, &|p| reg.hit(p));
+                    let d = hammer_points(iters, threads, &|i| reg.hit(&names[i]));
                     black_box(reg.counts.lock().unwrap().len());
                     reg.counts.lock().unwrap().clear();
                     d

@@ -8,8 +8,10 @@
 //! - **profile points** are string names (`"site#index"`), generated
 //!   deterministically from a site label and the arm's source position —
 //!   the same determinism `make-profile-point` guarantees;
-//! - **`annotate-expr`** is the instrumentation these macros insert:
-//!   `pgmp_rt::hit("…")` calls;
+//! - **`annotate-expr`** is the instrumentation these macros insert: a
+//!   `static` [`pgmp_rt::Point`] per call site and a `hit()` on it. The
+//!   point resolves its counter slot once, on its first counted hit, so
+//!   later hits neither hash the name nor take a lock;
 //! - **`profile-query`** is a profile file read *at macro expansion time*
 //!   (the `profile "path"` clause, or the `PGMP_PROFILE_PATH` environment
 //!   variable), parsed with [`pgmp_rt::Weights`];
@@ -34,7 +36,7 @@
 //!
 //! Without a profile the arms keep their source order; with one, they are
 //! sorted hottest-first (the `else` arm always stays last). Each arm body
-//! is instrumented with `pgmp_rt::hit("parse#i")` where `i` is the arm's
+//! is instrumented with a hit on point `"parse#i"` where `i` is the arm's
 //! *source* index, so counts stay attached to the same arm across
 //! reordered builds — exactly the profile-point stability §3.1 requires.
 
@@ -42,6 +44,15 @@ use proc_macro::{Delimiter, Group, TokenStream, TokenTree};
 
 fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?})").parse().expect("valid error tokens")
+}
+
+/// The statements that count one hit on `point`: a call-site `static`
+/// [`pgmp_rt::Point`] and a hit on it.
+fn hit_point(point: &str) -> String {
+    format!(
+        "static __PGMP_POINT: ::pgmp_rt::Point = ::pgmp_rt::Point::new({point:?}); \
+         __PGMP_POINT.hit();"
+    )
 }
 
 struct Cursor {
@@ -226,15 +237,15 @@ fn exclusive_cond_impl(input: TokenStream) -> Result<TokenStream, String> {
         let kw = if i == 0 { "if" } else { "else if" };
         let cond = arm.cond.as_ref().expect("non-else arm");
         out.push_str(&format!(
-            "{kw} {cond} {{ ::pgmp_rt::hit({point:?}); {body} }} ",
-            point = format!("{site}#{}", arm.index),
+            "{kw} {cond} {{ {hit} {body} }} ",
+            hit = hit_point(&format!("{site}#{}", arm.index)),
             body = arm.body,
         ));
     }
     match else_arm {
         Some(arm) => out.push_str(&format!(
-            "else {{ ::pgmp_rt::hit({point:?}); {body} }} ",
-            point = format!("{site}#else"),
+            "else {{ {hit} {body} }} ",
+            hit = hit_point(&format!("{site}#else")),
             body = arm.body,
         )),
         None => out.push_str(
@@ -272,7 +283,7 @@ fn profile_impl(input: TokenStream) -> Result<TokenStream, String> {
     if rest.trim().is_empty() {
         return Err("expected an expression after the point name".into());
     }
-    format!("{{ ::pgmp_rt::hit({point:?}); {rest} }}")
+    format!("{{ {hit} {rest} }}", hit = hit_point(&point))
         .parse()
         .map_err(|e| format!("generated code failed to parse: {e}"))
 }
@@ -305,8 +316,8 @@ fn static_weight_impl(input: TokenStream) -> Result<TokenStream, String> {
         .map_err(|e| format!("generated code failed to parse: {e}"))
 }
 
-/// `#[profiled]` — instruments a function: its body is preceded by a
-/// `pgmp_rt::hit("fn:<name>")`, giving per-function counters like GHC
+/// `#[profiled]` — instruments a function: its body is preceded by a hit
+/// on point `"fn:<name>"`, giving per-function counters like GHC
 /// cost-centres (§5.1's default granularity).
 #[proc_macro_attribute]
 pub fn profiled(_attr: TokenStream, item: TokenStream) -> TokenStream {
@@ -342,8 +353,8 @@ fn profiled_impl(item: TokenStream) -> Result<TokenStream, String> {
         .collect::<TokenStream>()
         .to_string();
     format!(
-        "{signature} {{ ::pgmp_rt::hit({point:?}); {body} }}",
-        point = format!("fn:{name}"),
+        "{signature} {{ {hit} {body} }}",
+        hit = hit_point(&format!("fn:{name}")),
         body = body.stream(),
     )
     .parse()

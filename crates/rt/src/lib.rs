@@ -8,88 +8,94 @@
 //! procedural macros (`pgmp-macros`), with this crate as the profiler
 //! substrate.
 //!
-//! Profile points are string names; counters live in a process-global
-//! [`ShardedRegistry`] — lock-striped atomics, so concurrent threads can
-//! count without serializing on one mutex (the substrate `pgmp-adaptive`
-//! reuses for online profile collection). Profiles are stored in the same
-//! textual format as the main system (point names play the role of
-//! filenames, with zero spans), so the two implementations' profile files
-//! are mutually readable.
+//! Profile points are string names. A [`Profiler`] handle owns their
+//! counters: it interns each name to a dense slot, and every thread that
+//! hits counts into its own lane of slots, which only that thread writes.
+//! The code `pgmp-macros` generates holds one [`Point`] per call site,
+//! which caches its slot, so a counted hit is a thread-local lookup plus a
+//! load and a store: no hash, no lock, no read-modify-write. A disabled
+//! hit is one relaxed load. The free functions ([`hit`], [`count`],
+//! [`reset`], …) work on [`Profiler::global`]; tests and embedders can
+//! make private handles with [`Profiler::new`].
+//!
+//! Profiles are stored in the same textual format as the main system
+//! (point names play the role of filenames, with zero spans), so the two
+//! implementations' profile files are mutually readable.
 //!
 //! # Example
 //!
 //! ```
-//! pgmp_rt::reset();
-//! pgmp_rt::enable_profiling();
-//! for _ in 0..3 {
-//!     pgmp_rt::hit("demo#0");
-//! }
-//! pgmp_rt::hit("demo#1");
-//! pgmp_rt::disable_profiling();
+//! use pgmp_rt::{Point, Profiler};
 //!
-//! let w = pgmp_rt::snapshot_weights();
+//! // A private handle: its own enabled state, names and lanes.
+//! let profiler = Profiler::new();
+//! profiler.enable();
+//! for _ in 0..3 {
+//!     profiler.hit("demo#0");
+//! }
+//! profiler.hit("demo#1");
+//! profiler.disable();
+//! let w = profiler.snapshot_weights();
 //! assert_eq!(w.weight("demo#0"), 1.0);
 //! assert!((w.weight("demo#1") - 1.0 / 3.0).abs() < 1e-12);
+//!
+//! // What `#[profiled]` and `profile!` expand to: a per-call-site point
+//! // on the global handle.
+//! static POINT: Point = Point::new("demo#2");
+//! pgmp_rt::enable_profiling();
+//! POINT.hit();
+//! pgmp_rt::disable_profiling();
+//! assert_eq!(pgmp_rt::count("demo#2"), 1);
 //! ```
 
-mod sharded;
+mod profiler;
 mod slots;
 
-pub use sharded::{FnvHasher, ShardedRegistry};
+pub use profiler::{Point, Profiler};
 pub use slots::{AtomicSlotArray, CoalescingWriter, FlushStats, FlushStatsSnapshot};
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The process-global counter registry the generated instrumentation hits.
-pub fn registry() -> &'static ShardedRegistry<String> {
-    static REGISTRY: OnceLock<ShardedRegistry<String>> = OnceLock::new();
-    REGISTRY.get_or_init(ShardedRegistry::new)
-}
-
-/// Turns counting on. Off by default: profile points introduce only a
-/// relaxed atomic load when disabled (§3.1's "no overhead when not
-/// instrumented", approximated).
+/// Turns counting on for the global profiler. Off by default: profile
+/// points cost one relaxed atomic load when disabled (§3.1's "no overhead
+/// when not instrumented", approximated). Calls nest with
+/// [`disable_profiling`]; see [`Profiler::enable`].
 pub fn enable_profiling() {
-    ENABLED.store(true, Ordering::Relaxed);
+    Profiler::global().enable();
 }
 
-/// Turns counting off.
+/// Ends one [`enable_profiling`].
 pub fn disable_profiling() {
-    ENABLED.store(false, Ordering::Relaxed);
+    Profiler::global().disable();
 }
 
 /// Whether [`hit`] currently counts.
 pub fn profiling_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    Profiler::global().is_enabled()
 }
 
-/// Increments `point`'s counter when profiling is enabled. Generated by
-/// the `pgmp-macros` instrumentation.
+/// Increments `point`'s counter on the global profiler when profiling is
+/// enabled. Macro-generated code uses [`Point::hit`] instead, which skips
+/// the name lookup.
 ///
 /// Saturates at `u64::MAX` rather than wrapping: a long-running adaptive
 /// loop can genuinely exhaust a `u64` on a hot point, and a wrapped counter
 /// would silently invert every weight computed from it.
 #[inline]
 pub fn hit(point: &str) {
-    if profiling_enabled() {
-        registry().increment(point);
-    }
+    Profiler::global().hit(point);
 }
 
 /// Current count of `point`.
 pub fn count(point: &str) -> u64 {
-    registry().count(point)
+    Profiler::global().count(point)
 }
 
 /// Zeroes all counters (does not change the enabled flag).
 pub fn reset() {
-    registry().clear();
+    Profiler::global().reset();
 }
 
 /// Profile weights in `[0, 1]`, normalized by the hottest point of the
@@ -335,21 +341,20 @@ impl Weights {
     }
 }
 
-/// Snapshots the live counters into [`Weights`] (what `store-profile`
-/// writes).
+/// Snapshots the global profiler's counters into [`Weights`] (what
+/// `store-profile` writes).
 pub fn snapshot_weights() -> Weights {
-    let counts: HashMap<String, u64> = registry().snapshot().into_iter().collect();
-    Weights::from_counts(&counts)
+    Profiler::global().snapshot_weights()
 }
 
-/// Stores the live counters' weights to `path` — Figure 4's
+/// Stores the global profiler's weights to `path` — Figure 4's
 /// `store-profile` for the proc-macro implementation.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error.
 pub fn store_profile(path: impl AsRef<Path>) -> std::io::Result<()> {
-    snapshot_weights().store(path)
+    Profiler::global().store_profile(path)
 }
 
 fn tokenize(text: &str) -> Result<Vec<String>, ParseProfileError> {
@@ -416,21 +421,6 @@ fn expect_word(toks: &[String], pos: &mut usize, want: &str) -> Result<(), Parse
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The registry is process-global; tests touching it use unique point
-    // names to avoid cross-test interference.
-
-    #[test]
-    fn hit_counts_only_when_enabled() {
-        disable_profiling();
-        hit("rt-test-disabled");
-        assert_eq!(count("rt-test-disabled"), 0);
-        enable_profiling();
-        hit("rt-test-enabled");
-        hit("rt-test-enabled");
-        assert_eq!(count("rt-test-enabled"), 2);
-        disable_profiling();
-    }
 
     #[test]
     fn weights_normalize_and_merge() {

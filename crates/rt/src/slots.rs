@@ -3,9 +3,10 @@
 //!
 //! An [`AtomicSlotArray`] maps a dense `u32` slot to an `AtomicU64`
 //! counter. The hot path — [`AtomicSlotArray::add`] on an existing slot —
-//! is a relaxed saturating fetch-add with **no lock and no hashing**;
-//! compare the lock-striped [`crate::ShardedRegistry`], whose every bump
-//! hashes the key and takes a shard's read lock.
+//! is a relaxed saturating fetch-add with **no lock and no hashing**.
+//! Where a slot has exactly one writer thread (a [`crate::Profiler`]
+//! lane), [`AtomicSlotArray::add_single_writer`] drops the read-modify-
+//! write too: a plain load and store.
 //!
 //! Storage grows lock-free: slots live in power-of-two segments (1024,
 //! 2048, 4096, …) that are allocated on first touch through a
@@ -21,7 +22,6 @@
 //! shared-memory traffic for a bounded window of counts invisible to
 //! concurrent snapshots.
 
-use crate::sharded::saturating_fetch_add;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -42,6 +42,19 @@ fn locate(slot: u32) -> (usize, usize, usize) {
         (idx - seg_len) as usize,
         seg_len as usize,
     )
+}
+
+fn saturating_fetch_add(counter: &AtomicU64, n: u64) {
+    // Plain fetch_add would wrap at u64::MAX; a compare-exchange loop lets
+    // us saturate instead. Uncontended it costs the same one RMW.
+    let mut cur = counter.load(Ordering::Relaxed);
+    loop {
+        let next = cur.saturating_add(n);
+        match counter.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(seen) => cur = seen,
+        }
+    }
 }
 
 /// A growable `slot -> AtomicU64` array with lock-free bumps. See the
@@ -70,6 +83,27 @@ impl AtomicSlotArray {
     #[inline]
     pub fn add(&self, slot: u32, n: u64) {
         saturating_fetch_add(self.counter(slot), n);
+    }
+
+    /// Adds `n` to `slot`'s counter, saturating at `u64::MAX`, with a
+    /// plain load and a release store instead of a read-modify-write.
+    ///
+    /// Exact only while the calling thread is the slot's **sole writer**:
+    /// a concurrent [`add`](Self::add), `add_single_writer` or
+    /// [`take`](Self::take) on the same slot may be overwritten. Readers
+    /// on other threads may call [`get`](Self::get) at any time.
+    #[inline]
+    pub(crate) fn add_single_writer(&self, slot: u32, n: u64) {
+        let counter = self.counter(slot);
+        counter.store(
+            counter.load(Ordering::Relaxed).saturating_add(n),
+            Ordering::Release,
+        );
+    }
+
+    /// Overwrites `slot`'s counter with `n`.
+    pub(crate) fn set(&self, slot: u32, n: u64) {
+        self.counter(slot).store(n, Ordering::Release);
     }
 
     /// Current count of `slot` (0 if never touched).
@@ -257,6 +291,17 @@ mod tests {
         a.add(1, u64::MAX - 1);
         a.add(1, 5);
         assert_eq!(a.get(1), u64::MAX);
+    }
+
+    #[test]
+    fn single_writer_adds_and_saturates() {
+        let a = AtomicSlotArray::new();
+        a.add_single_writer(2, 3);
+        a.add_single_writer(2, 1);
+        assert_eq!(a.get(2), 4);
+        a.set(2, u64::MAX - 1);
+        a.add_single_writer(2, 5);
+        assert_eq!(a.get(2), u64::MAX);
     }
 
     #[test]

@@ -33,6 +33,22 @@ fn profiled_attribute_counts_calls() {
     assert_eq!(pgmp_rt::count("fn:helper"), 5);
 }
 
+#[test]
+fn call_site_points_nest_and_are_shared_across_instantiations() {
+    // Each call site owns one `static` point: a generic function's point is
+    // shared by every instantiation, and a `profile!` inside a `#[profiled]`
+    // body declares its own point in a nested block.
+    #[profiled]
+    fn twice<T: Copy>(x: T) -> (T, T) {
+        profile!("e10-nested", (x, x))
+    }
+    pgmp_rt::enable_profiling();
+    let _ = (twice(1u8), twice('c'), twice("s"));
+    pgmp_rt::disable_profiling();
+    assert_eq!(pgmp_rt::count("fn:twice"), 3);
+    assert_eq!(pgmp_rt::count("e10-nested"), 3);
+}
+
 /// Classifies a character; conditions count their own evaluations so the
 /// arm order is observable.
 fn classify_unprofiled(c: char, evals: &mut u32) -> u32 {

@@ -42,8 +42,9 @@ fn run_file_profile_cycle() {
 
 #[test]
 fn rt_counters_are_thread_safe() {
-    // The Rust-side runtime must tolerate concurrent hits (the registry is
-    // a mutex over a map); counts must not be lost.
+    // The Rust-side runtime must tolerate concurrent hits (each thread
+    // counts into its own lane); counts must not be lost, and the sibling
+    // test's enable/disable pair must not switch this one's counting off.
     pgmp_rt::enable_profiling();
     let threads: Vec<_> = (0..8)
         .map(|_| {
