@@ -202,8 +202,9 @@ impl ShardedCounters {
     }
 
     /// Copies the current counts into a [`Dataset`], reusing the existing
-    /// weight/merge pipeline unchanged. Zero counts are skipped, so dense
-    /// and hash-keyed registries fed the same hits snapshot identically.
+    /// weight/merge pipeline unchanged. Zero counts are skipped, so this
+    /// and a single-threaded [`pgmp_profiler::Counters`] fed the same hits
+    /// snapshot identically.
     pub fn snapshot(&self) -> Dataset {
         let slots = self.slots();
         slots

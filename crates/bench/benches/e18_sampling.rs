@@ -27,7 +27,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::Engine;
 use pgmp_bench::workloads::fib_program;
-use pgmp_profiler::{CounterImpl, Counters};
+use pgmp_profiler::Counters;
 use std::collections::HashMap;
 
 /// Deterministic LCG (same constants as the convergence oracle) for the
@@ -149,7 +149,6 @@ fn bench_sampling_frontier(c: &mut Criterion) {
     });
     group.bench_function("dense-exact", |b| {
         let mut e = Engine::new();
-        e.set_counter_impl(CounterImpl::Dense);
         e.set_instrumentation(pgmp_profiler::ProfileMode::EveryExpression);
         b.iter(|| e.run_str(&program, "e18.scm").expect("run"))
     });

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pgmp::{AnnotateStrategy, Engine};
 use pgmp_bench::workloads::fib_program;
 use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
-use pgmp_profiler::{CounterImpl, ProfileMode};
+use pgmp_profiler::{ProfileMode, DEFAULT_SAMPLE_HZ};
 
 fn bench_overhead(c: &mut Criterion) {
     let program = fib_program(16);
@@ -32,22 +32,13 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
     });
 
-    // Same instrumentation through the legacy hash-keyed counter backend:
-    // the baseline the dense slot-indexed representation replaced.
-    group.bench_function("chez-style-every-expression-hash", |b| {
-        let mut e = Engine::new();
-        e.set_counter_impl(CounterImpl::Hash);
-        e.set_instrumentation(ProfileMode::EveryExpression);
-        b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
-    });
-
     // Sampling backend: each profile point costs one relaxed beacon store;
     // the sampler thread ticks at the default rate in the background. The
     // target frontier (E18 maps it fully) is ≤1.05× the uninstrumented
     // time, vs ~1.45× for exact dense counting.
     group.bench_function("chez-style-every-expression-sampling", |b| {
         let mut e = Engine::new();
-        e.set_counter_impl(CounterImpl::Sampling);
+        e.set_sampling(DEFAULT_SAMPLE_HZ);
         e.set_instrumentation(ProfileMode::EveryExpression);
         b.iter(|| e.run_str(&program, "e7.scm").expect("run"))
     });
@@ -78,8 +69,9 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| e.run_str(annotated, "a.scm").expect("run"))
     });
 
-    // VM-mode block counting, dense vs hash: every basic block bumps a
-    // counter, so the backend's per-hit cost dominates the delta.
+    // VM-mode block counting, exact vs sampled: every basic block bumps a
+    // counter (or publishes the beacon), so the per-hit cost dominates the
+    // delta.
     group.bench_function("vm-block-uninstrumented", |b| {
         let mut e = Engine::new();
         let core = e.expand_to_core(&program, "e7.scm").expect("expand");
@@ -91,17 +83,20 @@ fn bench_overhead(c: &mut Criterion) {
             }
         })
     });
-    for (name, kind) in [
-        ("vm-block-counters-dense", CounterImpl::Dense),
-        ("vm-block-counters-hash", CounterImpl::Hash),
-        ("vm-block-counters-sampling", CounterImpl::Sampling),
+    for (name, sampled) in [
+        ("vm-block-counters-dense", false),
+        ("vm-block-counters-sampling", true),
     ] {
         group.bench_function(name, |b| {
             let mut e = Engine::new();
             let core = e.expand_to_core(&program, "e7.scm").expect("expand");
             let chunks: Vec<_> = core.iter().map(compile_chunk).collect();
             let mut vm = Vm::new();
-            vm.set_block_profiling(BlockCounters::with_impl(kind));
+            vm.set_block_profiling(if sampled {
+                BlockCounters::with_sampling(DEFAULT_SAMPLE_HZ)
+            } else {
+                BlockCounters::new()
+            });
             b.iter(|| {
                 for chunk in &chunks {
                     vm.run_chunk(e.interp_mut(), chunk).expect("run");

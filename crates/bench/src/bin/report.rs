@@ -149,31 +149,30 @@ fn e6() {
 fn e7() {
     use pgmp_bench::workloads::fib_program;
     use pgmp_bytecode::{compile_chunk, BlockCounters, Vm};
-    use pgmp_profiler::{CounterImpl, ProfileMode};
+    use pgmp_profiler::{ProfileMode, DEFAULT_SAMPLE_HZ};
 
-    header("E7 (section 4.4): instrumentation overhead, dense vs hash vs sampling");
+    header("E7 (section 4.4): instrumentation overhead, dense vs sampling");
     let program = fib_program(16);
 
-    let interp = |kind: Option<CounterImpl>| {
+    let interp = |setup: fn(&mut pgmp::Engine)| {
         let mut e = pgmp::Engine::new();
-        if let Some(kind) = kind {
-            e.set_counter_impl(kind);
-            e.set_instrumentation(ProfileMode::EveryExpression);
-        }
+        setup(&mut e);
         timed(&mut e, &program)
     };
-    let base = interp(None);
-    let dense = interp(Some(CounterImpl::Dense));
-    let hash = interp(Some(CounterImpl::Hash));
-    let sampling = interp(Some(CounterImpl::Sampling));
+    let base = interp(|_| {});
+    let dense = interp(|e| e.set_instrumentation(ProfileMode::EveryExpression));
+    let sampling = interp(|e| {
+        e.set_sampling(DEFAULT_SAMPLE_HZ);
+        e.set_instrumentation(ProfileMode::EveryExpression);
+    });
 
-    let vm = |kind: Option<CounterImpl>| {
+    let vm = |counters: Option<BlockCounters>| {
         let mut e = pgmp::Engine::new();
         let core = e.expand_to_core(&program, "e7.scm").expect("expand");
         let chunks: Vec<_> = core.iter().map(compile_chunk).collect();
         let mut vm = Vm::new();
-        if let Some(kind) = kind {
-            vm.set_block_profiling(BlockCounters::with_impl(kind));
+        if let Some(counters) = counters {
+            vm.set_block_profiling(counters);
         }
         for chunk in &chunks {
             vm.run_chunk(e.interp_mut(), chunk).expect("warmup");
@@ -187,33 +186,25 @@ fn e7() {
         t0.elapsed() / 3
     };
     let vm_base = vm(None);
-    let vm_dense = vm(Some(CounterImpl::Dense));
-    let vm_hash = vm(Some(CounterImpl::Hash));
-    let vm_sampling = vm(Some(CounterImpl::Sampling));
+    let vm_dense = vm(Some(BlockCounters::new()));
+    let vm_sampling = vm(Some(BlockCounters::with_sampling(DEFAULT_SAMPLE_HZ)));
 
     let ratio = |t: Duration, b: Duration| t.as_secs_f64() / b.as_secs_f64();
     let added = |t: Duration, b: Duration| (ratio(t, b) - 1.0).max(1e-9);
     println!("  paper:    Chez's every-expression counting costs ~9% at run time;");
     println!("            the claim assumes counter bumps are cheap.");
     println!(
-        "  interp:   every-expression dense {:.2}x, hash {:.2}x, sampling {:.2}x over uninstrumented",
+        "  interp:   every-expression dense {:.2}x, sampling {:.2}x over uninstrumented",
         ratio(dense, base),
-        ratio(hash, base),
         ratio(sampling, base)
     );
     println!(
-        "  vm:       per-block dense {:.2}x, hash {:.2}x, sampling {:.2}x over uninstrumented",
+        "  vm:       per-block dense {:.2}x, sampling {:.2}x over uninstrumented",
         ratio(vm_dense, vm_base),
-        ratio(vm_hash, vm_base),
         ratio(vm_sampling, vm_base)
     );
     println!(
-        "  measured: dense slots cut the added overhead {:.1}x (interp), {:.1}x (vm) vs hash",
-        added(hash, base) / added(dense, base),
-        added(vm_hash, vm_base) / added(vm_dense, vm_base)
-    );
-    println!(
-        "  measured: the sampling beacon cuts it another {:.1}x (interp), {:.1}x (vm) vs dense",
+        "  measured: the sampling beacon cuts the added overhead {:.1}x (interp), {:.1}x (vm) vs dense",
         added(dense, base) / added(sampling, base),
         added(vm_dense, vm_base) / added(vm_sampling, vm_base)
     );

@@ -1,47 +1,36 @@
 //! Block-level profile counters.
 //!
-//! Like the source-level [`pgmp_profiler::Counters`], the registry has
-//! several representations. The default **dense** backend assigns each
-//! registered chunk a contiguous base in one `Vec<Cell<u64>>` — the VM
-//! resolves the base once per activation and block entry becomes a vector
-//! bump. The legacy **hash** backend (one `(chunk, block)` hash per entry)
-//! survives behind [`CounterImpl::Hash`] as the e7 baseline and for
-//! interop. The **sampling** backend reuses the dense base assignment but
-//! block entry only publishes a current-position beacon (one relaxed
-//! store); a decoupled [`pgmp_profiler::Sampler`] thread turns periodic
-//! beacon reads into estimated counts (see `pgmp_profiler::sampling`).
+//! Like the source-level [`pgmp_profiler::Counters`], the registry assigns
+//! each registered chunk a contiguous base in one dense index space — the
+//! VM resolves the base once per activation and block entry becomes a
+//! vector bump. Behind the index space is one of two stores: **exact**
+//! counters ([`BlockCounters::new`]), or **sampling**
+//! ([`BlockCounters::with_sampling`]), where block entry only publishes a
+//! current-position beacon (one relaxed store) and a decoupled
+//! [`pgmp_profiler::Sampler`] thread turns periodic beacon reads into
+//! estimated counts (see `pgmp_profiler::sampling`).
 
-use pgmp_profiler::{CounterImpl, Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
+use pgmp_profiler::{Sampler, SamplingShared};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Base index returned by [`BlockCounters::register_chunk`] when the
-/// registry is hash-keyed (or registration otherwise has no dense base);
-/// callers seeing this fall back to keyed increments.
-pub const NO_BASE: u32 = u32::MAX;
-
 #[derive(Debug)]
-enum Backend {
-    Dense {
-        /// chunk id → (base, block count) in `counts`.
-        bases: RefCell<HashMap<u32, (u32, u32)>>,
-        counts: RefCell<Vec<Cell<u64>>>,
-        /// Counts for `(chunk, block)` hits outside any registered range —
-        /// keyed increments to chunks nobody registered (tests, ad-hoc
-        /// tooling) still land somewhere.
-        overflow: RefCell<HashMap<(u32, u32), u64>>,
-    },
-    Hash {
-        counts: RefCell<HashMap<(u32, u32), u64>>,
-    },
+struct Registry {
+    /// chunk id → (base, block count) in the dense index space.
+    bases: RefCell<HashMap<u32, (u32, u32)>>,
+    /// Next free dense index.
+    next: Cell<u32>,
+    store: Store,
+}
+
+/// What holds the per-index counts.
+#[derive(Debug)]
+enum Store {
+    /// One exact counter per dense index.
+    Exact(RefCell<Vec<Cell<u64>>>),
     Sampling {
-        /// chunk id → (base, block count), exactly like the dense layout;
-        /// the *tallies* live in `shared` instead of a `Cell` vector.
-        bases: RefCell<HashMap<u32, (u32, u32)>>,
-        /// Next free dense index (the sampling analogue of `counts.len()`).
-        next: Cell<u32>,
         /// Beacon + estimated tallies, shared with the sampler.
         shared: Arc<SamplingShared>,
         /// Owns the sampler thread; `None` in manual (test) mode. Dropping
@@ -50,6 +39,33 @@ enum Backend {
         /// Configured tick rate (0 in manual mode).
         hz: u32,
     },
+}
+
+impl Store {
+    fn get(&self, idx: u32) -> u64 {
+        match self {
+            Store::Exact(counts) => counts.borrow()[idx as usize].get(),
+            Store::Sampling { shared, .. } => shared.tallies().get(idx),
+        }
+    }
+
+    /// Moves the count at `from` onto the count at `to`, saturating.
+    fn move_count(&self, from: u32, to: u32) {
+        match self {
+            Store::Exact(counts) => {
+                let counts = counts.borrow();
+                let c = counts[from as usize].replace(0);
+                let dst = &counts[to as usize];
+                dst.set(dst.get().saturating_add(c));
+            }
+            Store::Sampling { shared, .. } => {
+                let c = shared.tallies().take(from);
+                if c > 0 {
+                    shared.tallies().add(to, c);
+                }
+            }
+        }
+    }
 }
 
 /// Execution counts per `(chunk, block)` — the block-level analogue of the
@@ -66,7 +82,7 @@ enum Backend {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BlockCounters {
-    backend: Rc<Backend>,
+    registry: Rc<Registry>,
 }
 
 impl Default for BlockCounters {
@@ -76,31 +92,9 @@ impl Default for BlockCounters {
 }
 
 impl BlockCounters {
-    /// Creates an empty dense registry.
+    /// Creates an empty exact registry.
     pub fn new() -> BlockCounters {
-        BlockCounters::with_impl(CounterImpl::Dense)
-    }
-
-    /// Creates an empty registry with an explicit representation. A
-    /// sampling registry spawns its sampler thread at
-    /// [`DEFAULT_SAMPLE_HZ`]; use [`BlockCounters::with_sampling`] to pick
-    /// the rate.
-    pub fn with_impl(kind: CounterImpl) -> BlockCounters {
-        match kind {
-            CounterImpl::Dense => BlockCounters {
-                backend: Rc::new(Backend::Dense {
-                    bases: RefCell::new(HashMap::new()),
-                    counts: RefCell::new(Vec::new()),
-                    overflow: RefCell::new(HashMap::new()),
-                }),
-            },
-            CounterImpl::Hash => BlockCounters {
-                backend: Rc::new(Backend::Hash {
-                    counts: RefCell::new(HashMap::new()),
-                }),
-            },
-            CounterImpl::Sampling => BlockCounters::with_sampling(DEFAULT_SAMPLE_HZ),
-        }
+        BlockCounters::with_store(Store::Exact(RefCell::new(Vec::new())))
     }
 
     /// Creates an empty sampling registry with a sampler thread ticking at
@@ -119,32 +113,29 @@ impl BlockCounters {
     fn sampling_with(hz: u32, spawn: bool) -> BlockCounters {
         let shared = Arc::new(SamplingShared::new());
         let sampler = spawn.then(|| Sampler::spawn(shared.clone(), hz));
-        BlockCounters {
-            backend: Rc::new(Backend::Sampling {
-                bases: RefCell::new(HashMap::new()),
-                next: Cell::new(0),
-                shared,
-                sampler,
-                hz,
-            }),
-        }
+        BlockCounters::with_store(Store::Sampling {
+            shared,
+            sampler,
+            hz,
+        })
     }
 
-    /// The representation behind this registry.
-    pub fn impl_kind(&self) -> CounterImpl {
-        match &*self.backend {
-            Backend::Dense { .. } => CounterImpl::Dense,
-            Backend::Hash { .. } => CounterImpl::Hash,
-            Backend::Sampling { .. } => CounterImpl::Sampling,
+    fn with_store(store: Store) -> BlockCounters {
+        BlockCounters {
+            registry: Rc::new(Registry {
+                bases: RefCell::new(HashMap::new()),
+                next: Cell::new(0),
+                store,
+            }),
         }
     }
 
     /// The configured sampler rate, when this is a sampling registry
     /// (0 in manual mode; `None` on exact registries).
     pub fn sample_hz(&self) -> Option<u32> {
-        match &*self.backend {
-            Backend::Sampling { hz, .. } => Some(*hz),
-            _ => None,
+        match &self.registry.store {
+            Store::Sampling { hz, .. } => Some(*hz),
+            Store::Exact(_) => None,
         }
     }
 
@@ -153,8 +144,8 @@ impl BlockCounters {
     /// registries).
     pub fn has_sampler_thread(&self) -> bool {
         matches!(
-            &*self.backend,
-            Backend::Sampling {
+            &self.registry.store,
+            Store::Sampling {
                 sampler: Some(_),
                 ..
             }
@@ -163,16 +154,16 @@ impl BlockCounters {
 
     /// The shared sampling state, when this is a sampling registry.
     pub fn sampling_shared(&self) -> Option<Arc<SamplingShared>> {
-        match &*self.backend {
-            Backend::Sampling { shared, .. } => Some(shared.clone()),
-            _ => None,
+        match &self.registry.store {
+            Store::Sampling { shared, .. } => Some(shared.clone()),
+            Store::Exact(_) => None,
         }
     }
 
     /// Takes one sample immediately (test/benchmark hook); no-op on exact
     /// registries.
     pub fn sample_now(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
+        if let Store::Sampling { shared, .. } = &self.registry.store {
             shared.sample_now();
         }
     }
@@ -182,169 +173,87 @@ impl BlockCounters {
     /// exact registries.
     #[inline]
     pub fn park(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
+        if let Store::Sampling { shared, .. } = &self.registry.store {
             shared.park();
         }
     }
 
     /// Registers chunk `chunk` with `blocks` basic blocks and returns the
-    /// base index of its counter range; idempotent (re-registration returns
-    /// the existing base). The VM registers once per activation, after
-    /// which each block entry is [`BlockCounters::increment_at`] — a vector
-    /// bump, no hashing. Returns [`NO_BASE`] on a hash-keyed registry.
+    /// base index of its counter range; idempotent (re-registration with
+    /// no more blocks returns the existing base). The VM registers once per
+    /// activation, after which each block entry is
+    /// [`BlockCounters::increment_at`] — a vector bump, no hashing.
+    ///
+    /// Registering more blocks than before moves the chunk to a fresh,
+    /// larger range and carries its counts over; bases handed out for the
+    /// old range must not be used afterwards.
     pub fn register_chunk(&self, chunk: u32, blocks: u32) -> u32 {
-        match &*self.backend {
-            Backend::Dense { bases, counts, .. } => {
-                let mut bases = bases.borrow_mut();
-                if let Some((base, n)) = bases.get(&chunk) {
-                    if blocks <= *n {
-                        return *base;
-                    }
-                }
-                let mut counts = counts.borrow_mut();
-                let base = counts.len() as u32;
-                let new_len = counts.len() + blocks as usize;
-                counts.resize(new_len, Cell::new(0));
-                bases.insert(chunk, (base, blocks));
-                base
-            }
-            Backend::Hash { .. } => NO_BASE,
-            Backend::Sampling { bases, next, .. } => {
-                let mut bases = bases.borrow_mut();
-                if let Some((base, n)) = bases.get(&chunk) {
-                    if blocks <= *n {
-                        return *base;
-                    }
-                }
-                let base = next.get();
-                next.set(base + blocks);
-                bases.insert(chunk, (base, blocks));
-                base
+        let mut bases = self.registry.bases.borrow_mut();
+        let old = bases.get(&chunk).copied();
+        if let Some((base, n)) = old {
+            if blocks <= n {
+                return base;
             }
         }
+        let base = self.registry.next.get();
+        let end = base + blocks;
+        self.registry.next.set(end);
+        if let Store::Exact(counts) = &self.registry.store {
+            counts.borrow_mut().resize(end as usize, Cell::new(0));
+        }
+        if let Some((old_base, n)) = old {
+            for b in 0..n {
+                self.registry.store.move_count(old_base + b, base + b);
+            }
+        }
+        bases.insert(chunk, (base, blocks));
+        base
     }
 
     /// Records entry into the block at `base + block`: a saturating counter
-    /// bump on a dense registry, one relaxed beacon store on a sampling
+    /// bump on an exact registry, one relaxed beacon store on a sampling
     /// registry. Only valid with a `base` returned by
     /// [`BlockCounters::register_chunk`] on this registry and `block`
     /// within the registered block count.
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry, or (dense only) an out-of-range
-    /// index.
+    /// Panics (exact registries only) on an out-of-range index.
     #[inline]
     pub fn increment_at(&self, base: u32, block: u32) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
+        match &self.registry.store {
+            Store::Exact(counts) => {
                 let counts = counts.borrow();
                 let c = &counts[(base + block) as usize];
                 c.set(c.get().saturating_add(1));
             }
-            Backend::Hash { .. } => {
-                panic!("BlockCounters::increment_at on a hash-keyed registry")
-            }
-            Backend::Sampling { shared, .. } => shared.publish(0, base + block),
+            Store::Sampling { shared, .. } => shared.publish(0, base + block),
         }
     }
 
-    /// Adds one to block `block` of chunk `chunk` (keyed interop path).
+    /// Records entry into block `block` of chunk `chunk` (keyed path for
+    /// tests and tooling). A chunk nobody registered, or a block beyond its
+    /// registered range, (re-)registers the chunk large enough first.
     pub fn increment(&self, chunk: u32, block: u32) {
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                let in_range = bases
-                    .borrow()
-                    .get(&chunk)
-                    .filter(|(_, n)| block < *n)
-                    .map(|(base, _)| base + block);
-                match in_range {
-                    Some(idx) => {
-                        let counts = counts.borrow();
-                        let c = &counts[idx as usize];
-                        c.set(c.get().saturating_add(1));
-                    }
-                    None => {
-                        let mut overflow = overflow.borrow_mut();
-                        let c = overflow.entry((chunk, block)).or_insert(0);
-                        *c = c.saturating_add(1);
-                    }
-                }
-            }
-            Backend::Hash { counts } => {
-                let mut counts = counts.borrow_mut();
-                let c = counts.entry((chunk, block)).or_insert(0);
-                *c = c.saturating_add(1);
-            }
-            Backend::Sampling { shared, .. } => {
-                // Keyed entries publish the beacon too; a chunk nobody
-                // registered gets a dense range lazily so the sample has a
-                // slot to land in (a sampling registry has no keyed
-                // overflow — estimates only exist per dense slot).
-                let base = self.register_chunk(chunk, block + 1);
-                shared.publish(chunk, base + block);
-            }
-        }
+        let base = self.register_chunk(chunk, block + 1);
+        self.increment_at(base, block);
     }
 
     /// Execution count of a block (0 if never executed).
     pub fn count(&self, chunk: u32, block: u32) -> u64 {
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                if let Some(idx) = bases
-                    .borrow()
-                    .get(&chunk)
-                    .filter(|(_, n)| block < *n)
-                    .map(|(base, _)| base + block)
-                {
-                    counts.borrow()[idx as usize].get()
-                } else {
-                    overflow
-                        .borrow()
-                        .get(&(chunk, block))
-                        .copied()
-                        .unwrap_or(0)
-                }
-            }
-            Backend::Hash { counts } => counts
-                .borrow()
-                .get(&(chunk, block))
-                .copied()
-                .unwrap_or(0),
-            Backend::Sampling { bases, shared, .. } => bases
-                .borrow()
-                .get(&chunk)
-                .filter(|(_, n)| block < *n)
-                .map(|(base, _)| shared.tallies().get(base + block))
-                .unwrap_or(0),
+        let range = self.registry.bases.borrow().get(&chunk).copied();
+        match range {
+            Some((base, n)) if block < n => self.registry.store.get(base + block),
+            _ => 0,
         }
     }
 
     /// Number of blocks with a nonzero count (estimated count, on a
     /// sampling registry).
     pub fn len(&self) -> usize {
-        match &*self.backend {
-            Backend::Dense {
-                counts, overflow, ..
-            } => {
-                counts.borrow().iter().filter(|c| c.get() > 0).count()
-                    + overflow.borrow().values().filter(|c| **c > 0).count()
-            }
-            Backend::Hash { counts } => {
-                counts.borrow().values().filter(|c| **c > 0).count()
-            }
-            Backend::Sampling { next, shared, .. } => (0..next.get())
-                .filter(|i| shared.tallies().get(*i) > 0)
-                .count(),
-        }
+        (0..self.registry.next.get())
+            .filter(|&i| self.registry.store.get(i) > 0)
+            .count()
     }
 
     /// True if no blocks were counted.
@@ -352,20 +261,16 @@ impl BlockCounters {
         self.len() == 0
     }
 
-    /// Zeroes every counter. On a dense registry chunk registrations (and
-    /// therefore activation-cached bases) stay valid.
+    /// Zeroes every counter. Chunk registrations (and therefore
+    /// activation-cached bases) stay valid.
     pub fn clear(&self) {
-        match &*self.backend {
-            Backend::Dense {
-                counts, overflow, ..
-            } => {
+        match &self.registry.store {
+            Store::Exact(counts) => {
                 for c in counts.borrow().iter() {
                     c.set(0);
                 }
-                overflow.borrow_mut().clear();
             }
-            Backend::Hash { counts } => counts.borrow_mut().clear(),
-            Backend::Sampling { shared, .. } => shared.tallies().clear(),
+            Store::Sampling { shared, .. } => shared.tallies().clear(),
         }
     }
 
@@ -377,195 +282,61 @@ impl BlockCounters {
     /// pairs.
     ///
     /// If `new` already has counts of its own, the remapped counts are
-    /// added to them (old's dense range, if any, is folded into keyed
-    /// overflow entries). No-op when `old == new` or `old` was never seen.
+    /// added to them (growing `new`'s range if `old` had more blocks). No-op
+    /// when `old == new` or `old` was never seen.
     pub fn remap_chunk(&self, old: u32, new: u32) {
         if old == new {
             return;
         }
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                let mut bases = bases.borrow_mut();
-                if let Some(entry) = bases.remove(&old) {
-                    use std::collections::hash_map::Entry;
-                    match bases.entry(new) {
-                        Entry::Vacant(v) => {
-                            v.insert(entry);
-                        }
-                        Entry::Occupied(o) => {
-                            // `new` has its own dense range; add old's
-                            // counts into it (in-range blocks must live in
-                            // the dense slots — `count` never consults
-                            // overflow for them) and abandon the old range.
-                            let (new_base, new_n) = *o.get();
-                            let counts = counts.borrow();
-                            let (base, n) = entry;
-                            let mut ov = overflow.borrow_mut();
-                            for b in 0..n {
-                                let cell = &counts[(base + b) as usize];
-                                let c = cell.get();
-                                if c > 0 {
-                                    if b < new_n {
-                                        let dst = &counts[(new_base + b) as usize];
-                                        dst.set(dst.get().saturating_add(c));
-                                    } else {
-                                        let e = ov.entry((new, b)).or_insert(0);
-                                        *e = e.saturating_add(c);
-                                    }
-                                }
-                                cell.set(0);
-                            }
-                        }
-                    }
-                }
-                let new_reg = bases.get(&new).copied();
-                let mut ov = overflow.borrow_mut();
-                let moved: Vec<(u32, u64)> = ov
-                    .iter()
-                    .filter(|((c, _), _)| *c == old)
-                    .map(|((_, b), v)| (*b, *v))
-                    .collect();
-                ov.retain(|(c, _), _| *c != old);
-                for (b, v) in moved {
-                    match new_reg {
-                        Some((nb, nn)) if b < nn => {
-                            let counts = counts.borrow();
-                            let dst = &counts[(nb + b) as usize];
-                            dst.set(dst.get().saturating_add(v));
-                        }
-                        _ => {
-                            let e = ov.entry((new, b)).or_insert(0);
-                            *e = e.saturating_add(v);
-                        }
-                    }
-                }
-            }
-            Backend::Hash { counts } => {
-                let mut counts = counts.borrow_mut();
-                let moved: Vec<(u32, u64)> = counts
-                    .iter()
-                    .filter(|((c, _), _)| *c == old)
-                    .map(|((_, b), v)| (*b, *v))
-                    .collect();
-                counts.retain(|(c, _), _| *c != old);
-                for (b, v) in moved {
-                    let e = counts.entry((new, b)).or_insert(0);
-                    *e = e.saturating_add(v);
-                }
-            }
-            Backend::Sampling { bases, shared, .. } => {
-                let mut bases = bases.borrow_mut();
-                if let Some(entry) = bases.remove(&old) {
-                    use std::collections::hash_map::Entry;
-                    match bases.entry(new) {
-                        Entry::Vacant(v) => {
-                            v.insert(entry);
-                        }
-                        Entry::Occupied(o) => {
-                            // Fold old's estimated tallies into new's dense
-                            // range; blocks beyond new's range have no slot
-                            // on a sampling registry (no keyed overflow) and
-                            // their estimates are dropped.
-                            let (new_base, new_n) = *o.get();
-                            let (base, n) = entry;
-                            let tallies = shared.tallies();
-                            for b in 0..n.min(new_n) {
-                                let c = tallies.take(base + b);
-                                if c > 0 {
-                                    tallies.add(new_base + b, c);
-                                }
-                            }
-                            for b in new_n..n {
-                                tallies.take(base + b);
-                            }
-                        }
-                    }
-                }
-            }
+        let Some((base, n)) = self.registry.bases.borrow_mut().remove(&old) else {
+            return;
+        };
+        if !self.registry.bases.borrow().contains_key(&new) {
+            self.registry.bases.borrow_mut().insert(new, (base, n));
+            return;
+        }
+        let new_base = self.register_chunk(new, n);
+        for b in 0..n {
+            self.registry.store.move_count(base + b, new_base + b);
         }
     }
 
     /// Snapshot of all nonzero counts.
     pub fn snapshot(&self) -> HashMap<(u32, u32), u64> {
-        match &*self.backend {
-            Backend::Dense {
-                bases,
-                counts,
-                overflow,
-            } => {
-                let counts = counts.borrow();
-                let mut out: HashMap<(u32, u32), u64> = overflow
-                    .borrow()
-                    .iter()
-                    .filter(|(_, c)| **c > 0)
-                    .map(|(k, c)| (*k, *c))
-                    .collect();
-                for (chunk, (base, n)) in bases.borrow().iter() {
-                    for b in 0..*n {
-                        let c = counts[(base + b) as usize].get();
-                        if c > 0 {
-                            out.insert((*chunk, b), c);
-                        }
-                    }
+        let mut out = HashMap::new();
+        for (chunk, (base, n)) in self.registry.bases.borrow().iter() {
+            for b in 0..*n {
+                let c = self.registry.store.get(base + b);
+                if c > 0 {
+                    out.insert((*chunk, b), c);
                 }
-                out
-            }
-            Backend::Hash { counts } => counts
-                .borrow()
-                .iter()
-                .filter(|(_, c)| **c > 0)
-                .map(|(k, c)| (*k, *c))
-                .collect(),
-            Backend::Sampling { bases, shared, .. } => {
-                let tallies = shared.tallies();
-                let mut out = HashMap::new();
-                for (chunk, (base, n)) in bases.borrow().iter() {
-                    for b in 0..*n {
-                        let c = tallies.get(base + b);
-                        if c > 0 {
-                            out.insert((*chunk, b), c);
-                        }
-                    }
-                }
-                out
             }
         }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn both() -> [BlockCounters; 2] {
-        [
-            BlockCounters::with_impl(CounterImpl::Dense),
-            BlockCounters::with_impl(CounterImpl::Hash),
-        ]
-    }
+    use proptest::prelude::*;
 
     #[test]
     fn clones_share_state() {
-        for a in both() {
-            let b = a.clone();
-            b.increment(1, 2);
-            assert_eq!(a.count(1, 2), 1);
-            assert_eq!(a.len(), 1);
-        }
+        let a = BlockCounters::new();
+        let b = a.clone();
+        b.increment(1, 2);
+        assert_eq!(a.count(1, 2), 1);
+        assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn clear_resets() {
-        for a in both() {
-            a.increment(0, 0);
-            a.clear();
-            assert!(a.is_empty());
-            assert_eq!(a.count(0, 0), 0);
-        }
+        let a = BlockCounters::new();
+        a.increment(0, 0);
+        a.clear();
+        assert!(a.is_empty());
+        assert_eq!(a.count(0, 0), 0);
     }
 
     #[test]
@@ -595,58 +366,61 @@ mod tests {
     }
 
     #[test]
-    fn hash_registry_reports_no_base() {
-        let c = BlockCounters::with_impl(CounterImpl::Hash);
-        assert_eq!(c.register_chunk(0, 4), NO_BASE);
-        c.increment(0, 1);
+    fn growing_a_registration_carries_its_counts() {
+        let c = BlockCounters::new();
+        let base = c.register_chunk(0, 2);
+        c.increment_at(base, 1);
+        c.increment(0, 5); // beyond the registered range
+        let grown = c.register_chunk(0, 6);
+        assert_ne!(grown, base, "the chunk moved to a larger range");
         assert_eq!(c.count(0, 1), 1);
+        assert_eq!(c.count(0, 5), 1);
+        assert_eq!(c.len(), 2, "the abandoned range holds nothing");
     }
 
     #[test]
     fn remap_carries_counts_to_the_new_id() {
-        for c in both() {
-            c.register_chunk(4, 2);
-            c.increment(4, 0);
-            c.increment(4, 1);
-            c.increment(4, 1);
-            c.increment(4, 9); // overflow on dense, keyed on hash
-            c.remap_chunk(4, 40);
-            assert_eq!(c.count(4, 0), 0, "old id is empty");
-            assert_eq!(c.count(40, 0), 1);
-            assert_eq!(c.count(40, 1), 2);
-            assert_eq!(c.count(40, 9), 1);
-        }
+        let c = BlockCounters::new();
+        c.register_chunk(4, 2);
+        c.increment(4, 0);
+        c.increment(4, 1);
+        c.increment(4, 1);
+        c.increment(4, 9); // beyond the registered range
+        c.remap_chunk(4, 40);
+        assert_eq!(c.count(4, 0), 0, "old id is empty");
+        assert_eq!(c.count(40, 0), 1);
+        assert_eq!(c.count(40, 1), 2);
+        assert_eq!(c.count(40, 9), 1);
     }
 
     #[test]
     fn remap_merges_into_existing_counts() {
-        for c in both() {
-            c.register_chunk(1, 2);
-            c.register_chunk(2, 2);
-            c.increment(1, 0);
-            c.increment(2, 0);
-            c.increment(2, 1);
-            c.remap_chunk(1, 2);
-            assert_eq!(c.count(2, 0), 2, "counts are summed");
-            assert_eq!(c.count(2, 1), 1);
-            assert_eq!(c.count(1, 0), 0);
-        }
+        let c = BlockCounters::new();
+        c.register_chunk(1, 3);
+        c.register_chunk(2, 2);
+        c.increment(1, 0);
+        c.increment(1, 2); // beyond chunk 2's range: grows it
+        c.increment(2, 0);
+        c.increment(2, 1);
+        c.remap_chunk(1, 2);
+        assert_eq!(c.count(2, 0), 2, "counts are summed");
+        assert_eq!(c.count(2, 1), 1);
+        assert_eq!(c.count(2, 2), 1);
+        assert_eq!(c.count(1, 0), 0);
     }
 
     #[test]
     fn remap_of_unknown_or_identical_ids_is_a_noop() {
-        for c in both() {
-            c.increment(5, 0);
-            c.remap_chunk(9, 10);
-            c.remap_chunk(5, 5);
-            assert_eq!(c.count(5, 0), 1);
-        }
+        let c = BlockCounters::new();
+        c.increment(5, 0);
+        c.remap_chunk(9, 10);
+        c.remap_chunk(5, 5);
+        assert_eq!(c.count(5, 0), 1);
     }
 
     #[test]
     fn sampling_registry_estimates_from_beacon_samples() {
         let c = BlockCounters::sampling_manual();
-        assert_eq!(c.impl_kind(), CounterImpl::Sampling);
         assert_eq!(c.sample_hz(), Some(0));
         assert!(!c.has_sampler_thread(), "manual mode has no sampler thread");
         let base = c.register_chunk(2, 4);
@@ -702,14 +476,70 @@ mod tests {
         assert!(c.sampling_shared().is_some());
     }
 
-    #[test]
-    fn dense_and_hash_snapshot_identically() {
-        let [dense, hash] = both();
-        dense.register_chunk(1, 4);
-        for (chunk, block) in [(1, 0), (1, 3), (2, 5), (1, 0)] {
-            dense.increment(chunk, block);
-            hash.increment(chunk, block);
+    /// One step of the randomized workload for the reference-model
+    /// oracle below.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Register(u32, u32),
+        Increment(u32, u32),
+        Remap(u32, u32),
+        Clear,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            ((0u32..4), (1u32..6)).prop_map(|(c, n)| Op::Register(c, n)),
+            ((0u32..4), (0u32..6)).prop_map(|(c, b)| Op::Increment(c, b)),
+            ((0u32..4), (0u32..6)).prop_map(|(c, b)| Op::Increment(c, b)),
+            ((0u32..4), (0u32..4)).prop_map(|(o, n)| Op::Remap(o, n)),
+            Just(Op::Clear),
+        ]
+    }
+
+    proptest! {
+        /// The dense registry counts exactly like a keyed `HashMap`
+        /// reference model under any mix of registrations (including ones
+        /// that grow a chunk), keyed increments, remaps and clears.
+        #[test]
+        fn dense_registry_matches_a_keyed_reference_model(
+            ops in proptest::collection::vec(op(), 0..60),
+        ) {
+            let c = BlockCounters::new();
+            let mut model: HashMap<(u32, u32), u64> = HashMap::new();
+            for op in &ops {
+                match *op {
+                    Op::Register(chunk, n) => {
+                        c.register_chunk(chunk, n);
+                    }
+                    Op::Increment(chunk, b) => {
+                        c.increment(chunk, b);
+                        *model.entry((chunk, b)).or_default() += 1;
+                    }
+                    Op::Remap(old, new) => {
+                        c.remap_chunk(old, new);
+                        if old != new {
+                            let moved: Vec<_> = model
+                                .iter()
+                                .filter(|((ch, _), _)| *ch == old)
+                                .map(|((_, b), v)| (*b, *v))
+                                .collect();
+                            model.retain(|(ch, _), _| *ch != old);
+                            for (b, v) in moved {
+                                *model.entry((new, b)).or_default() += v;
+                            }
+                        }
+                    }
+                    Op::Clear => {
+                        c.clear();
+                        model.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(c.snapshot(), model.clone());
+            prop_assert_eq!(c.len(), model.len());
+            for (&(chunk, b), &v) in &model {
+                prop_assert_eq!(c.count(chunk, b), v);
+            }
         }
-        assert_eq!(dense.snapshot(), hash.snapshot());
     }
 }

@@ -52,7 +52,7 @@ mod vm;
 
 pub use chunk::{Block, BlockId, Chunk, Instr, Terminator};
 pub use compile::compile_chunk;
-pub use counters::{BlockCounters, NO_BASE};
+pub use counters::BlockCounters;
 pub use flat::{layout_sig, lower_chunk, FlatChunk, JumpTarget, Op};
 pub use fuse::{Fused, FusionPlan, FUSED_CANDIDATES};
 pub use layout::{canonical_form, optimize_layout};

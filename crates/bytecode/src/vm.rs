@@ -17,7 +17,7 @@
 
 use crate::chunk::{BlockId, Chunk, Instr, Terminator};
 use crate::compile::compile_chunk;
-use crate::counters::{BlockCounters, NO_BASE};
+use crate::counters::BlockCounters;
 use crate::flat::{self, FlatChunk, JumpTarget, Op};
 use crate::fuse::FusionPlan;
 use pgmp_eval::{Closure, Core, EvalError, EvalErrorKind, Frame, Interp, LambdaDef, QuickOp, Value};
@@ -108,8 +108,8 @@ struct Activation {
     ip: usize,
     frame: Option<Rc<Frame>>,
     /// Base of this chunk's dense block-counter range, resolved once per
-    /// activation ([`NO_BASE`] when profiling is off or hash-keyed), so
-    /// block entry bumps a vector slot instead of hashing `(chunk, block)`.
+    /// activation (unused when profiling is off), so block entry bumps a
+    /// vector slot instead of hashing `(chunk, block)`.
     counter_base: u32,
     /// Chunk-local global-slot cache: `GlobalRef`'s `cache` operand indexes
     /// here; each cell memoizes the interpreter's global slot
@@ -356,10 +356,9 @@ impl Vm {
     /// Resolves a chunk's block-counter base once per activation — the
     /// per-call cost that buys hash-free block entries.
     fn counter_base(&self, id: u32, blocks: u32) -> u32 {
-        match &self.block_counters {
-            Some(c) => c.register_chunk(id, blocks),
-            None => NO_BASE,
-        }
+        self.block_counters
+            .as_ref()
+            .map_or(0, |c| c.register_chunk(id, blocks))
     }
 
     /// Builds an activation for `chunk` (match engine).
@@ -401,14 +400,10 @@ impl Vm {
     /// identical program points (activation entry and every taken
     /// `Jump`/`Branch` edge; never on return into a block's middle).
     #[inline]
-    fn enter_block(&mut self, base: u32, chunk_id: u32, block: BlockId) {
+    fn enter_block(&mut self, base: u32, block: BlockId) {
         self.metrics.blocks_executed += 1;
         if let Some(counters) = &self.block_counters {
-            if base != NO_BASE {
-                counters.increment_at(base, block);
-            } else {
-                counters.increment(chunk_id, block);
-            }
+            counters.increment_at(base, block);
         }
     }
 
@@ -430,7 +425,7 @@ impl Vm {
         let mut saved: Vec<Activation> = Vec::with_capacity(16);
         let mut fuel: u64 = self.max_steps.unwrap_or(u64::MAX);
         let mut cur = self.activation(chunk, None);
-        self.enter_block(cur.counter_base, cur.chunk.id, cur.block);
+        self.enter_block(cur.counter_base, cur.block);
         loop {
             if fuel == 0 {
                 return Err(EvalError::new(EvalErrorKind::Fuel, "vm step budget exhausted"));
@@ -525,7 +520,7 @@ impl Vm {
                                 let chunk = self.chunk_for(&c.def);
                                 let next = self.activation(chunk, Some(frame));
                                 saved.push(std::mem::replace(&mut cur, next));
-                                self.enter_block(cur.counter_base, cur.chunk.id, cur.block);
+                                self.enter_block(cur.counter_base, cur.block);
                             }
                             other => {
                                 return Err(
@@ -547,7 +542,7 @@ impl Vm {
                     self.transfer(cur.block, t);
                     cur.block = t;
                     cur.ip = 0;
-                    self.enter_block(cur.counter_base, cur.chunk.id, t);
+                    self.enter_block(cur.counter_base, t);
                 }
                 Terminator::Branch(t, e) => {
                     let (t, e) = (*t, *e);
@@ -556,7 +551,7 @@ impl Vm {
                     self.transfer(cur.block, target);
                     cur.block = target;
                     cur.ip = 0;
-                    self.enter_block(cur.counter_base, cur.chunk.id, target);
+                    self.enter_block(cur.counter_base, target);
                 }
                 Terminator::Return => {
                     let v = stack.pop().expect("stack underflow");
@@ -591,7 +586,7 @@ impl Vm {
                                 bind_closure_frame(&c, args).map_err(|e| e.with_src(src))?;
                             let chunk = self.chunk_for(&c.def);
                             cur = self.activation(chunk, Some(frame));
-                            self.enter_block(cur.counter_base, cur.chunk.id, cur.block);
+                            self.enter_block(cur.counter_base, cur.block);
                         }
                         other => {
                             return Err(EvalError::type_error("procedure", &other).with_src(src))
@@ -633,7 +628,7 @@ impl Vm {
             None => u64::MAX,
         };
         let mut cur = self.flat_activation(entry, NO_DEF, None);
-        enter_block_at(counters, m, cur.counter_base, cur.code.id, cur.code.entry_block);
+        enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
         loop {
             if m.dispatches >= limit {
                 return Err(EvalError::new(EvalErrorKind::Fuel, "vm step budget exhausted"));
@@ -731,14 +726,14 @@ impl Vm {
                 Op::Jump { target } => {
                     transfer_to(m, target);
                     cur.pc = target.pc;
-                    enter_block_at(counters, m, cur.counter_base, cur.code.id, target.block());
+                    enter_block_at(counters, m, cur.counter_base, target.block());
                 }
                 Op::Branch { then_, else_ } => {
                     let cond = stack.pop().expect("stack underflow");
                     let target = if cond.is_truthy() { then_ } else { else_ };
                     transfer_to(m, target);
                     cur.pc = target.pc;
-                    enter_block_at(counters, m, cur.counter_base, cur.code.id, target.block());
+                    enter_block_at(counters, m, cur.counter_base, target.block());
                 }
                 Op::Return => {
                     let v = stack.pop().expect("stack underflow");
@@ -777,13 +772,7 @@ impl Vm {
                                 cur.def_key = key;
                             }
                             cur.pc = cur.code.entry_pc;
-                            enter_block_at(
-                                counters,
-                                m,
-                                cur.counter_base,
-                                cur.code.id,
-                                cur.code.entry_block,
-                            );
+                            enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
                             None
                         }
                         None => {
@@ -865,7 +854,7 @@ impl Vm {
                     m.fused_dispatches += 1;
                     transfer_to(m, target);
                     cur.pc = target.pc;
-                    enter_block_at(counters, m, cur.counter_base, cur.code.id, target.block());
+                    enter_block_at(counters, m, cur.counter_base, target.block());
                 }
                 Op::LocalReturn { depth, index } => {
                     m.fused_dispatches += 1;
@@ -913,7 +902,7 @@ impl Vm {
                 let entry = self.flat_for(&c.def);
                 let next = self.flat_activation(entry, key, Some(frame));
                 saved.push(std::mem::replace(cur, next));
-                enter_block_at(counters, m, cur.counter_base, cur.code.id, cur.code.entry_block);
+                enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
             }
             other => return Err(EvalError::type_error("procedure", &other).with_src(src)),
         }
@@ -946,7 +935,7 @@ impl Vm {
                 let key = Rc::as_ptr(&c.def) as usize;
                 let entry = self.flat_for(&c.def);
                 *cur = self.flat_activation(entry, key, Some(frame));
-                enter_block_at(counters, m, cur.counter_base, cur.code.id, cur.code.entry_block);
+                enter_block_at(counters, m, cur.counter_base, cur.code.entry_block);
                 Ok(None)
             }
             other => Err(EvalError::type_error("procedure", &other).with_src(src)),
@@ -957,20 +946,10 @@ impl Vm {
 /// Block-entry bookkeeping against a local metrics/counters pair (the flat
 /// engine's register-resident equivalent of [`Vm::enter_block`]).
 #[inline]
-fn enter_block_at(
-    counters: &Option<BlockCounters>,
-    m: &mut VmMetrics,
-    base: u32,
-    chunk_id: u32,
-    block: BlockId,
-) {
+fn enter_block_at(counters: &Option<BlockCounters>, m: &mut VmMetrics, base: u32, block: BlockId) {
     m.blocks_executed += 1;
     if let Some(c) = counters {
-        if base != NO_BASE {
-            c.increment_at(base, block);
-        } else {
-            c.increment(chunk_id, block);
-        }
+        c.increment_at(base, block);
     }
 }
 

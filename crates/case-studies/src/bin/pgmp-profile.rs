@@ -49,7 +49,9 @@
 //!     bit-identically, moved-but-unchanged forms re-anchor at full
 //!     confidence, edited forms re-anchor at a decayed confidence
 //!     (recorded as v2 `(confidence ...)` provenance), and unmatched
-//!     points die. The output is always format v2. With --trace, every
+//!     points die. The rebased file is the one a source argument names
+//!     (exactly as given, then by basename), else the file most of the
+//!     profile's points name. The output is always format v2. With --trace, every
 //!     per-point decision is recorded as a `profile_rebase` event so
 //!     `pgmp-trace explain <point>` can answer why a point matched,
 //!     decayed, or died.
@@ -64,6 +66,7 @@ use pgmp_observe as observe;
 use pgmp_profiler::rebase::{rebase as run_rebase, RebaseConfig};
 use pgmp_profiler::{ProfileInformation, Provenance, SlotCompat, SlotMap, StoredProfile};
 use std::fmt::Write as _;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -440,9 +443,8 @@ fn rebase_cmd(out: &mut String, args: &[String]) -> Result<(), String> {
     let new_src = std::fs::read_to_string(new_src_path)
         .map_err(|e| format!("{new_src_path}: {e}"))?;
 
-    // The file name the profile's points carry: the most common base file
-    // (generated `%pgmp` suffixes stripped) — that is the file the two
-    // source texts are versions of.
+    // The files the profile's points carry (generated `%pgmp` suffixes
+    // stripped), with how many points name each.
     let mut by_file: Vec<(String, usize)> = Vec::new();
     for (p, _) in stored.info.iter() {
         let s = p.file.as_str();
@@ -455,10 +457,7 @@ fn rebase_cmd(out: &mut String, args: &[String]) -> Result<(), String> {
             None => by_file.push((base.to_owned(), 1)),
         }
     }
-    let file = by_file
-        .iter()
-        .max_by_key(|(_, n)| *n)
-        .map(|(f, _)| f.clone())
+    let file = rebase_target(&by_file, [old_src_path, new_src_path])
         .ok_or_else(|| format!("{profile_path}: profile has no points to rebase"))?;
 
     if trace.is_some() {
@@ -505,6 +504,24 @@ fn rebase_cmd(out: &mut String, args: &[String]) -> Result<(), String> {
         result.profile.info.len()
     );
     Ok(())
+}
+
+/// The profile file the two source texts are versions of: the one a
+/// source argument names exactly as given, else the one it names by
+/// basename, else the file most points name. A program's own file can
+/// name fewer points than the libraries it loads, so the majority is only
+/// the last resort.
+fn rebase_target(by_file: &[(String, usize)], sources: [&str; 2]) -> Option<String> {
+    let named = |same: &dyn Fn(&str, &str) -> bool| {
+        sources
+            .iter()
+            .find_map(|src| by_file.iter().find(|(f, _)| same(f, src)))
+    };
+    let basename = |p: &str| Path::new(p).file_name().map(|n| n.to_owned());
+    named(&|f, src| f == src)
+        .or_else(|| named(&|f, src| basename(f).is_some() && basename(f) == basename(src)))
+        .or_else(|| by_file.iter().max_by_key(|(_, n)| *n))
+        .map(|(f, _)| f.clone())
 }
 
 fn main() -> ExitCode {

@@ -13,16 +13,12 @@
 //!   --libs <names>               comma-separated case-study libraries:
 //!                                if-r,case,oo,list,vector,sequence,all
 //!   --wrap-lambda                use the Racket annotate-expr strategy
-//!   --counter-impl <dense|hash|sampling>
-//!                                counter representation for instrumented
-//!                                runs: dense slot-indexed (default), the
-//!                                legacy hash-keyed baseline, or statistical
-//!                                sampling — each profile point costs one
-//!                                relaxed beacon store and a sampler thread
-//!                                estimates the weights (always-on
-//!                                profiling; weights are estimates)
-//!   --sample-hz <hz>             sampling: beacon reads per second
-//!                                (default 997)
+//!   --sample-hz <hz>             count instrumented runs by statistical
+//!                                sampling instead of exactly: each profile
+//!                                point costs one relaxed beacon store and
+//!                                a sampler thread reading the beacon hz
+//!                                times per second estimates the weights
+//!                                (always-on profiling; 997 is a good rate)
 //!
 //!   --store-format <1|2>         profile format version for --store
 //!                                (2 carries the dense slot table; default 1)
@@ -74,8 +70,7 @@
 //!   --publish <socket>           stream this run's counter deltas to a
 //!                                `pgmp-profiled` fleet daemon over the
 //!                                given Unix socket (instrumented runs,
-//!                                slotted — dense or sampling — counters
-//!                                only): the slot table is
+//!                                exact or sampled): the slot table is
 //!                                exchanged at handshake and the deltas
 //!                                are binary (slot, count) pairs through
 //!                                a bounded never-blocking flusher
@@ -118,7 +113,7 @@ use pgmp::{AnnotateStrategy, Engine, IncrementalConfig, IncrementalEngine};
 use pgmp_bytecode::{optimize_layout, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm, VmMetrics};
 use pgmp_case_studies::{install, Lib};
 use pgmp_observe as observe;
-use pgmp_profiler::{CounterImpl, ProfileInformation, ProfileMode};
+use pgmp_profiler::{ProfileInformation, ProfileMode};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -131,8 +126,8 @@ struct Options {
     expand: bool,
     libs: Vec<Lib>,
     strategy: AnnotateStrategy,
-    counter_impl: CounterImpl,
-    sample_hz: u32,
+    /// `Some(hz)` selects sampling counters.
+    sample_hz: Option<u32>,
     store_format: u32,
     incremental: bool,
     save_state: Option<String>,
@@ -162,8 +157,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: pgmp-run [--instrument every|calls] [--load P] [--merge P]...\n\
          \u{20}               [--store P] [--expand] [--libs names] [--wrap-lambda]\n\
-         \u{20}               [--counter-impl dense|hash|sampling] [--sample-hz HZ]\n\
-         \u{20}               [--store-format 1|2]\n\
+         \u{20}               [--sample-hz HZ] [--store-format 1|2]\n\
          \u{20}               [--incremental [--save-state F] [--load-state F]]\n\
          \u{20}               [--adaptive [--epochs N] [--threads N] [--epoch-ms MS]\n\
          \u{20}               [--drift-threshold T] [--decay D] [--hysteresis N]\n\
@@ -214,8 +208,7 @@ fn parse_args() -> Options {
         expand: false,
         libs: Vec::new(),
         strategy: AnnotateStrategy::Direct,
-        counter_impl: CounterImpl::Dense,
-        sample_hz: pgmp_profiler::DEFAULT_SAMPLE_HZ,
+        sample_hz: None,
         store_format: 1,
         incremental: false,
         save_state: None,
@@ -254,8 +247,7 @@ fn parse_args() -> Options {
             "--expand" => opts.expand = true,
             "--libs" => opts.libs = parse_libs(&args.next().unwrap_or_else(|| usage())),
             "--wrap-lambda" => opts.strategy = AnnotateStrategy::WrapLambda,
-            "--counter-impl" => opts.counter_impl = parse_num(args.next()),
-            "--sample-hz" => opts.sample_hz = parse_num(args.next()),
+            "--sample-hz" => opts.sample_hz = Some(parse_num(args.next())),
             "--store-format" => match args.next().as_deref() {
                 Some("1") => opts.store_format = 1,
                 Some("2") => opts.store_format = 2,
@@ -306,13 +298,10 @@ fn parse_num<T: std::str::FromStr>(arg: Option<String>) -> T {
     arg.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
 }
 
-/// Applies the selected counter representation (and, for sampling, the
-/// sampler rate) to an engine.
-fn configure_counters(engine: &mut Engine, counter_impl: CounterImpl, sample_hz: u32) {
-    if counter_impl == CounterImpl::Sampling {
-        engine.set_sampling(sample_hz);
-    } else {
-        engine.set_counter_impl(counter_impl);
+/// Switches an engine to sampling counters when `--sample-hz` was given.
+fn configure_counters(engine: &mut Engine, sample_hz: Option<u32>) {
+    if let Some(hz) = sample_hz {
+        engine.set_sampling(hz);
     }
 }
 
@@ -353,10 +342,9 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
         ..AdaptiveConfig::default()
     };
     let libs = opts.libs.clone();
-    let counter_impl = opts.counter_impl;
     let sample_hz = opts.sample_hz;
     let mut engine = AdaptiveEngine::with_setup(source, file, config, move |e| {
-        configure_counters(e, counter_impl, sample_hz);
+        configure_counters(e, sample_hz);
         for lib in &libs {
             install(e, *lib)?;
         }
@@ -668,9 +656,7 @@ fn run_incremental(opts: &Options, source: &str, file: &str) -> Result<(), Strin
 /// only merges slots it saw in the hello.
 fn publish_counters(engine: &Engine, socket: &str) -> Result<(), String> {
     let counters = engine.counters();
-    let table = counters
-        .slot_table()
-        .ok_or("--publish requires slotted counters (drop --counter-impl hash)")?;
+    let table = counters.slot_table();
     let delta = counters.take_delta();
     // A sampling registry's estimates carry their rate to the daemon,
     // which records `sampled@hz` provenance on the canonical profile.
@@ -779,7 +765,7 @@ fn run_mode(opts: &Options, source: &str, file: &str) -> Result<(), String> {
     }
 
     let mut engine = Engine::with_strategy(opts.strategy);
-    configure_counters(&mut engine, opts.counter_impl, opts.sample_hz);
+    configure_counters(&mut engine, opts.sample_hz);
     for lib in &opts.libs {
         install(&mut engine, *lib).map_err(|e| e.to_string())?;
     }

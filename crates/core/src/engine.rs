@@ -5,9 +5,7 @@ use crate::error::Error;
 use pgmp_eval::{install_primitives, resolve_profile_slots, Interp, Value};
 use pgmp_observe as observe;
 use pgmp_expander::{install_expander_support, Expander};
-use pgmp_profiler::{
-    CounterImpl, Counters, ProfileInformation, ProfileMode, Provenance, StoredProfile,
-};
+use pgmp_profiler::{Counters, ProfileInformation, ProfileMode, Provenance, StoredProfile};
 use pgmp_reader::read_str;
 use pgmp_syntax::Syntax;
 use std::cell::RefCell;
@@ -78,19 +76,11 @@ impl Engine {
         self.mode = mode;
     }
 
-    /// Selects the counter representation for this session's instrumented
-    /// runs: dense slot-indexed (the default), the legacy hash-keyed
-    /// baseline, or statistical sampling (beacon + sampler thread at
-    /// [`pgmp_profiler::DEFAULT_SAMPLE_HZ`]; use [`Engine::set_sampling`]
-    /// to pick the rate). Replaces the session counters, so call it before
-    /// the first instrumented run.
-    pub fn set_counter_impl(&mut self, kind: CounterImpl) {
-        self.state.borrow_mut().counters = Counters::with_impl(kind);
-    }
-
-    /// Switches this session to sampling counters with a sampler thread
-    /// ticking at `hz`. Subsequent instrumented runs cost one relaxed
-    /// beacon store per profile point; weights are estimated from samples.
+    /// Switches this session from exact counters (the default) to sampling
+    /// counters with a sampler thread ticking at `hz`. Subsequent
+    /// instrumented runs cost one relaxed beacon store per profile point;
+    /// weights are estimated from samples. Replaces the session counters,
+    /// so call it before the first instrumented run.
     pub fn set_sampling(&mut self, hz: u32) {
         self.state.borrow_mut().counters = Counters::with_sampling(hz);
     }
@@ -101,11 +91,6 @@ impl Engine {
     /// ([`Counters::sampling_manual`]) in deterministic tests.
     pub fn set_counters(&mut self, counters: Counters) {
         self.state.borrow_mut().counters = counters;
-    }
-
-    /// The counter representation behind this session's registry.
-    pub fn counter_impl(&self) -> CounterImpl {
-        self.state.borrow().counters.impl_kind()
     }
 
     /// Replaces the loaded profile information (what meta-programs see).
@@ -160,8 +145,7 @@ impl Engine {
     /// Writes this session's weights to `path` in profile format **v2**,
     /// carrying the dense slot table alongside the weights so a future
     /// process can preload its counter registry and skip re-interning
-    /// (see `docs/PROFILE_FORMAT.md`). Sessions using the hash counter
-    /// backend have no slot table; the v2 file then carries weights only.
+    /// (see `docs/PROFILE_FORMAT.md`).
     ///
     /// # Errors
     ///
@@ -173,7 +157,7 @@ impl Engine {
                 Some(hz) => Provenance::Sampled { hz },
                 None => Provenance::Exact,
             };
-            (st.counters.slot_table(), provenance)
+            (Some(st.counters.slot_table()), provenance)
         };
         StoredProfile::v2(self.current_weights(), slots)
             .with_provenance(provenance)
@@ -182,10 +166,10 @@ impl Engine {
     }
 
     /// Loads a profile of either format version, replacing the current
-    /// profile — and, when the file is v2 with a slot table and this
-    /// session uses dense counters, replaces the counter registry with one
-    /// preloaded from the stored table: every persisted point keeps its
-    /// slot id and instrumentation interns nothing on the warm path.
+    /// profile — and, when the file is v2 with a slot table, replaces the
+    /// counter registry with one of the same kind preloaded from the stored
+    /// table: every persisted point keeps its slot id and instrumentation
+    /// interns nothing on the warm path.
     ///
     /// Returns the file's format version.
     ///
@@ -195,21 +179,16 @@ impl Engine {
     pub fn load_profile_with_slots(&mut self, path: impl AsRef<Path>) -> Result<u32, Error> {
         let stored = StoredProfile::load_file(path)?;
         if let Some(table) = stored.slots {
-            match self.counter_impl() {
-                CounterImpl::Dense => {
-                    self.state.borrow_mut().counters = Counters::with_slot_table(table);
+            let mut st = self.state.borrow_mut();
+            match st.counters.sample_hz() {
+                None => st.counters = Counters::with_slot_table(table),
+                // Preserve the session's sampler rate; only a registry with
+                // a live sampler thread is replaced (a manually driven one
+                // keeps its deterministic test harness).
+                Some(hz) if st.counters.has_sampler_thread() => {
+                    st.counters = Counters::with_slot_table_sampling(table, hz);
                 }
-                CounterImpl::Sampling => {
-                    // Preserve the session's sampler rate; only a registry
-                    // with a live sampler thread is replaced (a manually
-                    // driven one keeps its deterministic test harness).
-                    let mut st = self.state.borrow_mut();
-                    if st.counters.has_sampler_thread() {
-                        let hz = st.counters.sample_hz().unwrap_or(0);
-                        st.counters = Counters::with_slot_table_sampling(table, hz);
-                    }
-                }
-                CounterImpl::Hash => {}
+                Some(_) => {}
             }
         }
         self.set_profile(stored.info);
@@ -300,26 +279,23 @@ impl Engine {
         self.warnings.extend(self.expander.take_warnings());
         if self.mode.is_on() {
             let counters = self.state.borrow().counters.clone();
-            if counters.map_id() != 0 {
-                // Slotted registry (dense or sampling): resolve every
-                // profile point to its slot now, at instrumentation time,
-                // so the run itself never interns — each hit is a
-                // cached-slot vector add (dense) or beacon store
-                // (sampling).
-                let t = observe::timer();
+            // Resolve every profile point to its slot now, at
+            // instrumentation time, so the run itself never interns — each
+            // hit is a cached-slot vector add (exact) or beacon store
+            // (sampling).
+            let t = observe::timer();
+            for form in &program {
+                resolve_profile_slots(form, &counters);
+            }
+            if t.is_some() {
+                let mut resolved: u32 = 0;
                 for form in &program {
-                    resolve_profile_slots(form, &counters);
+                    form.walk(&mut |n| resolved += u32::from(n.src.is_some()));
                 }
-                if t.is_some() {
-                    let mut resolved: u32 = 0;
-                    for form in &program {
-                        form.walk(&mut |n| resolved += u32::from(n.src.is_some()));
-                    }
-                    observe::finish(t, |duration_us| observe::EventKind::SlotResolve {
-                        resolved,
-                        duration_us,
-                    });
-                }
+                observe::finish(t, |duration_us| observe::EventKind::SlotResolve {
+                    resolved,
+                    duration_us,
+                });
             }
             self.interp.set_profiling(self.mode, counters);
         } else {
@@ -427,6 +403,8 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgmp_syntax::SourceObject;
+    use std::collections::HashMap;
 
     #[test]
     fn run_simple_program() {
@@ -445,20 +423,32 @@ mod tests {
     }
 
     #[test]
-    fn hash_counter_impl_counts_like_dense() {
+    fn dense_counts_match_a_keyed_reference_model() {
         let program = "(define (f n) (* n n)) (f 2) (f 3) (f 4)";
-        let mut dense = Engine::new();
-        assert_eq!(dense.counter_impl(), CounterImpl::Dense);
-        dense.set_instrumentation(ProfileMode::EveryExpression);
-        dense.run_str(program, "ci.scm").unwrap();
+        let mut e = Engine::new();
+        assert_eq!(e.counters().sample_hz(), None, "exact by default");
+        e.set_instrumentation(ProfileMode::EveryExpression);
+        e.run_str(program, "ci.scm").unwrap();
 
-        let mut hash = Engine::new();
-        hash.set_counter_impl(CounterImpl::Hash);
-        assert_eq!(hash.counter_impl(), CounterImpl::Hash);
-        hash.set_instrumentation(ProfileMode::EveryExpression);
-        hash.run_str(program, "ci.scm").unwrap();
-
-        assert_eq!(dense.counters().snapshot(), hash.counters().snapshot());
+        // The reference model: hits per source span, keyed like the
+        // paper's profile points, counted by hand from the program.
+        let point = |start: usize, len: usize| {
+            SourceObject::new("ci.scm", start as u32, (start + len) as u32)
+        };
+        let mut model: HashMap<SourceObject, u64> = HashMap::new();
+        // `define` and the `lambda` it introduces share the form's span.
+        model.insert(point(0, 22), 2);
+        let body = program.find("(* n n)").unwrap();
+        for (start, len) in [(body, 7), (body + 1, 1), (body + 3, 1), (body + 5, 1)] {
+            model.insert(point(start, len), 3);
+        }
+        for call in ["(f 2)", "(f 3)", "(f 4)"] {
+            let at = program.find(call).unwrap();
+            for (start, len) in [(at, 5), (at + 1, 1), (at + 3, 1)] {
+                model.insert(point(start, len), 1);
+            }
+        }
+        assert_eq!(e.counters().snapshot(), model.into_iter().collect());
     }
 
     #[test]
@@ -576,7 +566,7 @@ mod tests {
         let counters = Counters::sampling_manual();
         let shared = counters.sampling_shared().unwrap();
         e.set_counters(counters);
-        assert_eq!(e.counter_impl(), CounterImpl::Sampling);
+        assert_eq!(e.counters().sample_hz(), Some(0), "manually driven");
         e.set_instrumentation(ProfileMode::EveryExpression);
         let s = shared.clone();
         e.interp_mut()
@@ -636,7 +626,7 @@ mod tests {
         let path = dir.join("sampled.pgmp");
         let mut e = Engine::new();
         e.set_sampling(250);
-        assert_eq!(e.counter_impl(), CounterImpl::Sampling);
+        assert_eq!(e.counters().sample_hz(), Some(250));
         e.set_instrumentation(ProfileMode::EveryExpression);
         e.run_str("(define (f) 'x) (f)", "p.scm").unwrap();
         e.store_profile_v2(&path).unwrap();
@@ -672,10 +662,9 @@ mod tests {
         let mut warm = Engine::new();
         warm.set_sampling(500);
         warm.load_profile_with_slots(&path).unwrap();
-        assert_eq!(warm.counter_impl(), CounterImpl::Sampling);
         assert_eq!(warm.counters().sample_hz(), Some(500), "rate survives preload");
         assert!(
-            warm.counters().slot_table().is_some_and(|t| !t.is_empty()),
+            !warm.counters().slot_table().is_empty(),
             "slot table preloaded into the sampling registry"
         );
     }

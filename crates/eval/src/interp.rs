@@ -349,20 +349,15 @@ impl Interp {
     }
 }
 
-/// Records one hit of `expr`'s profile point. Slotted registries take the
-/// paper's fast path: the slot id cached on the node (validated against the
-/// registry's map id) makes the record a single slot op — a vector bump on
-/// dense counters, one relaxed beacon store on sampling counters; the first
-/// hit per node resolves and caches the slot, unless
-/// [`crate::resolve_profile_slots`] already did so at instrumentation time.
-/// Hash-keyed registries fall back to the legacy keyed increment.
+/// Records one hit of `expr`'s profile point — the paper's fast path: the
+/// slot id cached on the node (validated against the registry's map id)
+/// makes the record a single slot op — a vector bump on exact counters,
+/// one relaxed beacon store on sampling counters; the first hit per node
+/// resolves and caches the slot, unless [`crate::resolve_profile_slots`]
+/// already did so at instrumentation time.
 #[inline]
 fn bump(counters: &Counters, expr: &Core, src: SourceObject) {
     let map_id = counters.map_id();
-    if map_id == 0 {
-        counters.increment(src);
-        return;
-    }
     let slot = match expr.cached_slot(map_id) {
         Some(slot) => slot,
         None => {

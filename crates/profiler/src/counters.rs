@@ -1,30 +1,29 @@
 //! Live profile counters and per-run datasets.
 //!
-//! Three representations live behind the same [`Counters`] handle:
+//! Every [`Counters`] registry resolves each profile point once — at
+//! instrumentation time — to a stable `u32` slot in a [`SlotMap`]. What
+//! stands behind a slot is one of two stores:
 //!
-//! - **Dense** (the default): each profile point is resolved once — at
-//!   instrumentation time — to a stable `u32` slot in a [`SlotMap`], and a
-//!   bump is an unsynchronized `Vec<Cell<u64>>` index. This is the cost
-//!   model the paper assumes ("a profile point compiles down to a plain
-//!   counter increment").
-//! - **Hash**: the legacy `HashMap<SourceObject, u64>` keyed by profile
-//!   point, kept as an interop view and as the baseline the e7 overhead
-//!   experiment measures against.
-//! - **Sampling**: the always-on backend. A profiled event publishes a
-//!   current-position beacon (one relaxed atomic store, see
-//!   [`crate::sampling`]); a decoupled sampler thread ticking at a
-//!   configurable rate reads the beacon and accumulates *estimated*
-//!   tallies into the same slot space, so weights are statistical
-//!   estimates rather than exact counts. Direct keyed/slot adds
+//! - **Exact** (the default, [`Counters::new`]): a bump is an
+//!   unsynchronized `Vec<Cell<u64>>` index. This is the cost model the
+//!   paper assumes ("a profile point compiles down to a plain counter
+//!   increment").
+//! - **Sampling** ([`Counters::with_sampling`]): the always-on store. A
+//!   profiled event publishes a current-position beacon (one relaxed
+//!   atomic store, see [`crate::sampling`]); a decoupled sampler thread
+//!   ticking at a configurable rate reads the beacon and accumulates
+//!   *estimated* tallies into the same slot space, so weights are
+//!   statistical estimates rather than exact counts. Direct keyed/slot adds
 //!   ([`Counters::add`], [`Counters::add_slot`]) still land exactly,
 //!   which is what dataset absorption, merging, and the equivalence
 //!   oracle rely on; only the hot-path [`Counters::record_hit`] trades
 //!   exactness for ~zero mutator overhead.
 //!
-//! All three snapshot into the same [`Dataset`], so weight normalization,
+//! Both snapshot into the same [`Dataset`], so weight normalization,
 //! dataset merging, and `store-profile`/`load-profile` are unchanged.
+//! [`Counters::sample_hz`] tells them apart.
 
-use crate::sampling::{Sampler, SamplingShared, DEFAULT_SAMPLE_HZ};
+use crate::sampling::{Sampler, SamplingShared};
 use crate::slots::SlotMap;
 use pgmp_syntax::SourceObject;
 use std::cell::{Cell, RefCell};
@@ -33,60 +32,30 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Which counter representation a [`Counters`] registry uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CounterImpl {
-    /// Dense slot-indexed counters (resolve once, then vector bumps).
-    #[default]
-    Dense,
-    /// Legacy hash-keyed counters (one `SourceObject` hash per bump).
-    Hash,
-    /// Statistical sampling: hot-path events publish a position beacon
-    /// (one relaxed store) and a sampler estimates counts from it.
-    Sampling,
-}
-
-impl std::str::FromStr for CounterImpl {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<CounterImpl, String> {
-        match s {
-            "dense" => Ok(CounterImpl::Dense),
-            "hash" => Ok(CounterImpl::Hash),
-            "sampling" => Ok(CounterImpl::Sampling),
-            other => Err(format!(
-                "unknown counter impl `{other}` (dense|hash|sampling)"
-            )),
-        }
-    }
-}
-
-/// Process-global id generator for dense maps. Ids start at 1 so that 0
-/// can mean both "hash-keyed registry" and "unresolved cache entry" — a
-/// slot cached on an AST node under map id `m` is valid only against the
-/// `Counters` whose [`Counters::map_id`] is exactly `m`.
+/// Process-global id generator for slot maps. Ids start at 1 so that 0
+/// can mean "unresolved cache entry" — a slot cached on an AST node under
+/// map id `m` is valid only against the `Counters` whose
+/// [`Counters::map_id`] is exactly `m`.
 static NEXT_MAP_ID: AtomicU32 = AtomicU32::new(1);
 
 #[derive(Debug)]
-enum Backend {
-    Dense {
-        map_id: u32,
-        slots: RefCell<SlotMap>,
-        counts: RefCell<Vec<Cell<u64>>>,
-        /// Per-slot count as of the last [`Counters::take_delta`], the
-        /// baseline the next delta is computed against.
-        reported: RefCell<Vec<u64>>,
-    },
-    Hash {
-        counts: RefCell<HashMap<SourceObject, u64>>,
-    },
+struct Registry {
+    map_id: u32,
+    slots: RefCell<SlotMap>,
+    /// Per-slot count as of the last [`Counters::take_delta`], the
+    /// baseline the next delta is computed against.
+    reported: RefCell<Vec<u64>>,
+    store: Store,
+}
+
+/// What holds the per-slot counts.
+#[derive(Debug)]
+enum Store {
+    /// One exact counter per resolved slot.
+    Exact(RefCell<Vec<Cell<u64>>>),
     Sampling {
-        map_id: u32,
-        slots: RefCell<SlotMap>,
         /// Beacon + estimated tallies, shared with the sampler.
         shared: Arc<SamplingShared>,
-        /// Per-slot tally as of the last [`Counters::take_delta`].
-        reported: RefCell<Vec<u64>>,
         /// Wall-clock sampler thread; `None` when tests/benches drive
         /// [`Counters::sample_now`] deterministically instead.
         sampler: Option<Sampler>,
@@ -94,6 +63,15 @@ enum Backend {
         /// `sampled@hz` provenance when the profile is stored.
         hz: u32,
     },
+}
+
+impl Store {
+    fn get(&self, slot: u32) -> u64 {
+        match self {
+            Store::Exact(counts) => counts.borrow()[slot as usize].get(),
+            Store::Sampling { shared, .. } => shared.tallies().get(slot),
+        }
+    }
 }
 
 /// The live counter registry for one profiled execution.
@@ -115,7 +93,7 @@ enum Backend {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Counters {
-    backend: Rc<Backend>,
+    registry: Rc<Registry>,
 }
 
 impl Default for Counters {
@@ -125,38 +103,14 @@ impl Default for Counters {
 }
 
 impl Counters {
-    /// Creates an empty dense slot-indexed registry.
+    /// Creates an empty exact registry.
     pub fn new() -> Counters {
-        Counters::with_impl(CounterImpl::Dense)
-    }
-
-    /// Creates an empty registry with an explicit representation. A
-    /// sampling registry gets a wall-clock sampler at
-    /// [`DEFAULT_SAMPLE_HZ`]; use [`Counters::with_sampling`] to pick the
-    /// rate.
-    pub fn with_impl(kind: CounterImpl) -> Counters {
-        let backend = match kind {
-            CounterImpl::Dense => Backend::Dense {
-                map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
-                slots: RefCell::new(SlotMap::new()),
-                counts: RefCell::new(Vec::new()),
-                reported: RefCell::new(Vec::new()),
-            },
-            CounterImpl::Hash => Backend::Hash {
-                counts: RefCell::new(HashMap::new()),
-            },
-            CounterImpl::Sampling => {
-                return Counters::with_sampling(DEFAULT_SAMPLE_HZ);
-            }
-        };
-        Counters {
-            backend: Rc::new(backend),
-        }
+        Counters::with_slot_table(SlotMap::new())
     }
 
     /// Creates a sampling registry whose sampler thread ticks at `hz`.
     pub fn with_sampling(hz: u32) -> Counters {
-        Counters::sampling_with(SlotMap::new(), hz, true)
+        Counters::with_slot_table_sampling(SlotMap::new(), hz)
     }
 
     /// Creates a sampling registry with *no* sampler thread: tests and
@@ -169,19 +123,28 @@ impl Counters {
     fn sampling_with(table: SlotMap, hz: u32, spawn: bool) -> Counters {
         let shared = Arc::new(SamplingShared::new());
         let sampler = spawn.then(|| Sampler::spawn(shared.clone(), hz));
-        Counters {
-            backend: Rc::new(Backend::Sampling {
-                map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
-                slots: RefCell::new(table),
+        Counters::with_store(
+            table,
+            Store::Sampling {
                 shared,
-                reported: RefCell::new(Vec::new()),
                 sampler,
                 hz,
+            },
+        )
+    }
+
+    fn with_store(table: SlotMap, store: Store) -> Counters {
+        Counters {
+            registry: Rc::new(Registry {
+                map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
+                slots: RefCell::new(table),
+                reported: RefCell::new(Vec::new()),
+                store,
             }),
         }
     }
 
-    /// Creates a dense registry whose slot map is preloaded from `table`
+    /// Creates an exact registry whose slot map is preloaded from `table`
     /// (as reloaded from a v2 profile file, see
     /// [`crate::StoredProfile`]): every point in `table` already has its
     /// slot, with all counts zero, so instrumentation that re-resolves the
@@ -192,14 +155,7 @@ impl Counters {
     /// trusted.
     pub fn with_slot_table(table: SlotMap) -> Counters {
         let counts = vec![Cell::new(0); table.len()];
-        Counters {
-            backend: Rc::new(Backend::Dense {
-                map_id: NEXT_MAP_ID.fetch_add(1, Ordering::Relaxed),
-                slots: RefCell::new(table),
-                counts: RefCell::new(counts),
-                reported: RefCell::new(Vec::new()),
-            }),
-        }
+        Counters::with_store(table, Store::Exact(RefCell::new(counts)))
     }
 
     /// The sampling analog of [`Counters::with_slot_table`]: slots
@@ -209,73 +165,54 @@ impl Counters {
         Counters::sampling_with(table, hz, true)
     }
 
-    /// A snapshot of the slot table (`None` for hash-keyed registries).
-    /// This is what a v2 profile file persists so the next process can
-    /// skip re-interning.
-    pub fn slot_table(&self) -> Option<SlotMap> {
-        match &*self.backend {
-            Backend::Dense { slots, .. } | Backend::Sampling { slots, .. } => {
-                Some(slots.borrow().clone())
-            }
-            Backend::Hash { .. } => None,
-        }
+    /// A snapshot of the slot table. This is what a v2 profile file
+    /// persists so the next process can skip re-interning.
+    pub fn slot_table(&self) -> SlotMap {
+        self.registry.slots.borrow().clone()
     }
 
-    /// The representation behind this registry.
-    pub fn impl_kind(&self) -> CounterImpl {
-        match &*self.backend {
-            Backend::Dense { .. } => CounterImpl::Dense,
-            Backend::Hash { .. } => CounterImpl::Hash,
-            Backend::Sampling { .. } => CounterImpl::Sampling,
-        }
-    }
-
-    /// Identity of this registry's slot map, or 0 for hash-keyed
-    /// registries. A slot id is only meaningful together with the map id it
-    /// was resolved under; callers caching slots must revalidate against
-    /// this before using [`Counters::add_slot`].
+    /// Identity of this registry's slot map; never 0. A slot id is only
+    /// meaningful together with the map id it was resolved under; callers
+    /// caching slots must revalidate against this before using
+    /// [`Counters::add_slot`].
     pub fn map_id(&self) -> u32 {
-        match &*self.backend {
-            Backend::Dense { map_id, .. } | Backend::Sampling { map_id, .. } => *map_id,
-            Backend::Hash { .. } => 0,
-        }
+        self.registry.map_id
     }
 
     /// The nominal sampler rate: `Some(hz)` for sampling registries (0
-    /// when manually driven), `None` for exact backends. This is what a
+    /// when manually driven), `None` for exact ones. This is what a
     /// stored profile records as `sampled@hz` provenance.
     pub fn sample_hz(&self) -> Option<u32> {
-        match &*self.backend {
-            Backend::Sampling { hz, .. } => Some(*hz),
-            _ => None,
+        match &self.registry.store {
+            Store::Sampling { hz, .. } => Some(*hz),
+            Store::Exact(_) => None,
         }
     }
 
     /// The beacon/tally state shared with the sampler (`None` for exact
-    /// backends). Exposed for boundary-time metric publication and for
+    /// registries). Exposed for boundary-time metric publication and for
     /// tests that inspect tick/hit/miss accounting.
     pub fn sampling_shared(&self) -> Option<Arc<SamplingShared>> {
-        match &*self.backend {
-            Backend::Sampling { shared, .. } => Some(shared.clone()),
-            _ => None,
+        match &self.registry.store {
+            Store::Sampling { shared, .. } => Some(shared.clone()),
+            Store::Exact(_) => None,
         }
     }
 
-    /// Takes one sample deterministically (no-op on exact backends).
+    /// Takes one sample deterministically (no-op on exact registries).
     /// Pairs with [`Counters::sampling_manual`] in tests and benchmarks.
     pub fn sample_now(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
+        if let Store::Sampling { shared, .. } = &self.registry.store {
             shared.sample_now();
         }
     }
 
     /// True when a wall-clock sampler thread is attached to this registry
-    /// (always false for exact backends and manually driven sampling
-    /// registries).
+    /// (always false for exact and manually driven sampling registries).
     pub fn has_sampler_thread(&self) -> bool {
         matches!(
-            &*self.backend,
-            Backend::Sampling {
+            &self.registry.store,
+            Store::Sampling {
                 sampler: Some(_),
                 ..
             }
@@ -286,78 +223,62 @@ impl Counters {
     /// resolution. Stable: the same point always maps to the same slot for
     /// the lifetime of the registry (clearing counts does not disturb
     /// slots).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a hash-keyed registry — check `map_id() != 0` first.
     pub fn resolve(&self, p: SourceObject) -> u32 {
-        match &*self.backend {
-            Backend::Dense { slots, counts, .. } => {
-                let slot = slots.borrow_mut().resolve(p);
-                let mut counts = counts.borrow_mut();
-                if counts.len() <= slot as usize {
-                    counts.resize(slot as usize + 1, Cell::new(0));
-                }
-                slot
-            }
-            Backend::Sampling { slots, .. } => slots.borrow_mut().resolve(p),
-            Backend::Hash { .. } => {
-                panic!("Counters::resolve on a hash-keyed registry (map_id 0)")
+        let slot = self.registry.slots.borrow_mut().resolve(p);
+        if let Store::Exact(counts) = &self.registry.store {
+            let mut counts = counts.borrow_mut();
+            if counts.len() <= slot as usize {
+                counts.resize(slot as usize + 1, Cell::new(0));
             }
         }
+        slot
     }
 
     /// Adds `n` to the counter in `slot`, saturating at `u64::MAX`. The
-    /// dense fast path: no hashing, no entry allocation.
+    /// fast path: no hashing, no entry allocation.
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry or if `slot` was never resolved.
+    /// Panics if `slot` was never resolved.
     #[inline]
     pub fn add_slot(&self, slot: u32, n: u64) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
+        match &self.registry.store {
+            Store::Exact(counts) => {
                 let counts = counts.borrow();
                 let c = &counts[slot as usize];
                 c.set(c.get().saturating_add(n));
             }
-            Backend::Sampling { shared, .. } => shared.tallies().add(slot, n),
-            Backend::Hash { .. } => {
-                panic!("Counters::add_slot on a hash-keyed registry (map_id 0)")
-            }
+            Store::Sampling { shared, .. } => shared.tallies().add(slot, n),
         }
     }
 
     /// Records one hot-path hit in `slot` — the per-event operation the
-    /// instrumented interpreter emits. On exact backends this *counts*
-    /// the hit ([`Counters::add_slot`] by one); on the sampling backend it
+    /// instrumented interpreter emits. On an exact registry this *counts*
+    /// the hit ([`Counters::add_slot`] by one); on a sampling registry it
     /// only *publishes* the position beacon (one relaxed store) and the
     /// sampler supplies the estimated count.
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry or if `slot` was never resolved.
+    /// Panics if `slot` was never resolved.
     #[inline]
     pub fn record_hit(&self, slot: u32) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
+        match &self.registry.store {
+            Store::Exact(counts) => {
                 let counts = counts.borrow();
                 let c = &counts[slot as usize];
                 c.set(c.get().saturating_add(1));
             }
-            Backend::Sampling { map_id, shared, .. } => shared.publish(*map_id, slot),
-            Backend::Hash { .. } => {
-                panic!("Counters::record_hit on a hash-keyed registry (map_id 0)")
-            }
+            Store::Sampling { shared, .. } => shared.publish(self.registry.map_id, slot),
         }
     }
 
-    /// Clears the published position beacon (no-op on exact backends).
+    /// Clears the published position beacon (no-op on exact registries).
     /// Called on run exit and around blocking waits so the sampler never
     /// attributes idle time to the last-executed profile point.
     #[inline]
     pub fn park(&self) {
-        if let Backend::Sampling { shared, .. } = &*self.backend {
+        if let Store::Sampling { shared, .. } = &self.registry.store {
             shared.park();
         }
     }
@@ -367,26 +288,17 @@ impl Counters {
     ///
     /// # Panics
     ///
-    /// Panics on a hash-keyed registry or if `slot` was never resolved.
+    /// Panics if `slot` was never resolved.
     pub fn count_slot(&self, slot: u32) -> u64 {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => counts.borrow()[slot as usize].get(),
-            Backend::Sampling { shared, .. } => shared.tallies().get(slot),
-            Backend::Hash { .. } => {
-                panic!("Counters::count_slot on a hash-keyed registry (map_id 0)")
-            }
-        }
+        self.registry.store.get(slot)
     }
 
-    /// Number of slots resolved so far (0 for hash-keyed registries).
-    /// Unlike [`Counters::len`], this counts *instrumented* points, not
-    /// *executed* ones, and is unaffected by [`Counters::clear`] — tests
-    /// use it to assert that cached code replays without re-resolution.
+    /// Number of slots resolved so far. Unlike [`Counters::len`], this
+    /// counts *instrumented* points, not *executed* ones, and is
+    /// unaffected by [`Counters::clear`] — tests use it to assert that
+    /// cached code replays without re-resolution.
     pub fn resolved_slots(&self) -> usize {
-        match &*self.backend {
-            Backend::Dense { slots, .. } | Backend::Sampling { slots, .. } => slots.borrow().len(),
-            Backend::Hash { .. } => 0,
-        }
+        self.registry.slots.borrow().len()
     }
 
     /// Adds one to the counter for profile point `p`, saturating at
@@ -401,46 +313,24 @@ impl Counters {
     /// adaptive loop can genuinely exhaust a `u64` on a hot point, and a
     /// wrapped counter would silently invert every weight derived from it.
     pub fn add(&self, p: SourceObject, n: u64) {
-        match &*self.backend {
-            Backend::Dense { .. } | Backend::Sampling { .. } => {
-                let slot = self.resolve(p);
-                self.add_slot(slot, n);
-            }
-            Backend::Hash { counts } => {
-                let mut counts = counts.borrow_mut();
-                let c = counts.entry(p).or_insert(0);
-                *c = c.saturating_add(n);
-            }
-        }
+        let slot = self.resolve(p);
+        self.add_slot(slot, n);
     }
 
     /// Current count for `p` (0 if never incremented).
     pub fn count(&self, p: SourceObject) -> u64 {
-        match &*self.backend {
-            Backend::Dense { slots, counts, .. } => match slots.borrow().get(p) {
-                Some(slot) => counts.borrow()[slot as usize].get(),
-                None => 0,
-            },
-            Backend::Sampling { slots, shared, .. } => match slots.borrow().get(p) {
-                Some(slot) => shared.tallies().get(slot),
-                None => 0,
-            },
-            Backend::Hash { counts } => counts.borrow().get(&p).copied().unwrap_or(0),
-        }
+        let slot = self.registry.slots.borrow().get(p);
+        slot.map_or(0, |s| self.count_slot(s))
+    }
+
+    /// `(slot, count)` for every resolved slot, in slot order.
+    fn slot_counts(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        (0..self.resolved_slots() as u32).map(|s| (s, self.count_slot(s)))
     }
 
     /// Number of profile points with a nonzero count.
     pub fn len(&self) -> usize {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
-                counts.borrow().iter().filter(|c| c.get() > 0).count()
-            }
-            Backend::Sampling { slots, shared, .. } => {
-                let n = slots.borrow().len() as u32;
-                (0..n).filter(|&s| shared.tallies().get(s) > 0).count()
-            }
-            Backend::Hash { counts } => counts.borrow().values().filter(|c| **c > 0).count(),
-        }
+        self.slot_counts().filter(|&(_, c)| c > 0).count()
     }
 
     /// True iff nothing has been counted.
@@ -448,18 +338,17 @@ impl Counters {
         self.len() == 0
     }
 
-    /// Zeroes all counters. On a dense registry the slot assignment is
-    /// preserved, so slot ids cached on AST nodes or embedded in bytecode
-    /// stay valid across profile resets.
+    /// Zeroes all counters. The slot assignment is preserved, so slot ids
+    /// cached on AST nodes or embedded in bytecode stay valid across
+    /// profile resets.
     pub fn clear(&self) {
-        match &*self.backend {
-            Backend::Dense { counts, .. } => {
+        match &self.registry.store {
+            Store::Exact(counts) => {
                 for c in counts.borrow().iter() {
                     c.set(0);
                 }
             }
-            Backend::Sampling { shared, .. } => shared.tallies().clear(),
-            Backend::Hash { counts } => counts.borrow_mut().clear(),
+            Store::Sampling { shared, .. } => shared.tallies().clear(),
         }
     }
 
@@ -468,99 +357,39 @@ impl Counters {
     /// each hit appears in exactly one delta. Slots whose count did not
     /// grow are omitted. This is the publisher-side extraction the fleet
     /// daemon's wire format consumes: no strings, no hashing, one pass
-    /// over the dense counter vector.
+    /// over the slots.
     ///
     /// A [`Counters::clear`] between deltas rebases the baseline silently
     /// (counts that went *down* report nothing rather than underflowing).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a hash-keyed registry — check `map_id() != 0` first.
     pub fn take_delta(&self) -> Vec<(u32, u64)> {
-        match &*self.backend {
-            Backend::Dense {
-                counts, reported, ..
-            } => {
-                let counts = counts.borrow();
-                let mut reported = reported.borrow_mut();
-                if reported.len() < counts.len() {
-                    reported.resize(counts.len(), 0);
-                }
-                let mut delta = Vec::new();
-                for (i, c) in counts.iter().enumerate() {
-                    let current = c.get();
-                    let base = reported[i];
-                    if current > base {
-                        delta.push((i as u32, current - base));
-                    }
-                    reported[i] = current;
-                }
-                delta
+        let mut reported = self.registry.reported.borrow_mut();
+        // Slots are never removed, so this only ever grows the baseline.
+        reported.resize(self.resolved_slots(), 0);
+        let mut delta = Vec::new();
+        for (i, base) in reported.iter_mut().enumerate() {
+            let current = self.count_slot(i as u32);
+            if current > *base {
+                delta.push((i as u32, current - *base));
             }
-            Backend::Sampling {
-                slots,
-                shared,
-                reported,
-                ..
-            } => {
-                let n = slots.borrow().len();
-                let mut reported = reported.borrow_mut();
-                if reported.len() < n {
-                    reported.resize(n, 0);
-                }
-                let mut delta = Vec::new();
-                for (i, base) in reported.iter_mut().enumerate() {
-                    let current = shared.tallies().get(i as u32);
-                    if current > *base {
-                        delta.push((i as u32, current - *base));
-                    }
-                    *base = current;
-                }
-                delta
-            }
-            Backend::Hash { .. } => {
-                panic!("Counters::take_delta on a hash-keyed registry (map_id 0)")
-            }
+            *base = current;
         }
+        delta
     }
 
     /// Snapshots the current counts into an immutable [`Dataset`]. Points
-    /// with a zero count are omitted, so dense and hash registries fed the
-    /// same increments snapshot to *identical* datasets.
+    /// with a zero count are omitted, so exact and sampling registries fed
+    /// the same direct adds snapshot to *identical* datasets.
     pub fn snapshot(&self) -> Dataset {
-        let counts = match &*self.backend {
-            Backend::Dense { slots, counts, .. } => {
-                let slots = slots.borrow();
-                counts
-                    .borrow()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.get() > 0)
-                    .map(|(i, c)| (slots.point(i as u32), c.get()))
-                    .collect()
-            }
-            Backend::Sampling { slots, shared, .. } => {
-                let slots = slots.borrow();
-                (0..slots.len() as u32)
-                    .map(|i| (i, shared.tallies().get(i)))
-                    .filter(|(_, c)| *c > 0)
-                    .map(|(i, c)| (slots.point(i), c))
-                    .collect()
-            }
-            Backend::Hash { counts } => counts
-                .borrow()
-                .iter()
-                .filter(|(_, c)| **c > 0)
-                .map(|(p, c)| (*p, *c))
-                .collect(),
-        };
+        let slots = self.registry.slots.borrow();
+        let counts = self
+            .slot_counts()
+            .filter(|&(_, c)| c > 0)
+            .map(|(s, c)| (slots.point(s), c))
+            .collect();
         Dataset { counts }
     }
 }
 
-/// Profile counts from one run on one input — one "data set" in the paper's
-/// terminology (§3.2). Absolute counts are only comparable *within* a
-/// dataset; convert to weights before comparing across datasets.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Dataset {
     pub(crate) counts: HashMap<SourceObject, u64>,
@@ -620,15 +449,11 @@ mod tests {
         SourceObject::new("t.scm", n, n + 1)
     }
 
-    /// One registry per backend. The sampling one is manually driven (no
+    /// One registry per store. The sampling one is manually driven (no
     /// thread): with no `record_hit`/`sample_now` in sight its keyed and
-    /// slot APIs must behave exactly like the exact backends.
-    fn all_impls() -> [Counters; 3] {
-        [
-            Counters::with_impl(CounterImpl::Dense),
-            Counters::with_impl(CounterImpl::Hash),
-            Counters::sampling_manual(),
-        ]
+    /// slot APIs must behave exactly like the exact store.
+    fn all_impls() -> [Counters; 2] {
+        [Counters::new(), Counters::sampling_manual()]
     }
 
     #[test]
@@ -694,15 +519,9 @@ mod tests {
         }
     }
 
-    /// The two slot-indexed backends: same slot/take_delta surface, exact
-    /// vs estimated storage.
-    fn slotted() -> [Counters; 2] {
-        [Counters::new(), Counters::sampling_manual()]
-    }
-
     #[test]
     fn dense_slots_survive_clear() {
-        for c in slotted() {
+        for c in all_impls() {
             let s0 = c.resolve(p(0));
             let s1 = c.resolve(p(1));
             c.add_slot(s0, 3);
@@ -718,7 +537,7 @@ mod tests {
 
     #[test]
     fn slot_and_keyed_apis_agree() {
-        for c in slotted() {
+        for c in all_impls() {
             let s = c.resolve(p(9));
             c.add_slot(s, 4);
             c.increment(p(9));
@@ -734,19 +553,19 @@ mod tests {
         assert_ne!(a.map_id(), b.map_id());
         assert_ne!(a.map_id(), 0);
         assert_ne!(Counters::sampling_manual().map_id(), 0);
-        assert_eq!(Counters::with_impl(CounterImpl::Hash).map_id(), 0);
         assert_eq!(a.map_id(), a.clone().map_id(), "clones share the map");
     }
 
     #[test]
     fn all_backends_snapshot_identically() {
-        let [dense, hash, sampling] = all_impls();
+        let [dense, sampling] = all_impls();
+        let mut model: HashMap<SourceObject, u64> = HashMap::new();
         for (point, n) in [(p(0), 2), (p(7), 1), (p(0), 3), (p(2), 5)] {
             dense.add(point, n);
-            hash.add(point, n);
             sampling.add(point, n);
+            *model.entry(point).or_default() += n;
         }
-        assert_eq!(dense.snapshot(), hash.snapshot());
+        assert_eq!(dense.snapshot(), model.into_iter().collect());
         assert_eq!(dense.snapshot(), sampling.snapshot());
     }
 
@@ -755,7 +574,7 @@ mod tests {
         let c = Counters::new();
         let s0 = c.resolve(p(0));
         let s1 = c.resolve(p(1));
-        let table = c.slot_table().unwrap();
+        let table = c.slot_table();
         let warm = Counters::with_slot_table(table);
         assert_eq!(warm.resolved_slots(), 2, "slots preloaded");
         assert!(warm.is_empty(), "counts start at zero");
@@ -764,12 +583,11 @@ mod tests {
         warm.add_slot(s1, 3);
         assert_eq!(warm.count(p(1)), 3);
         assert_ne!(warm.map_id(), c.map_id(), "fresh map id");
-        assert!(Counters::with_impl(CounterImpl::Hash).slot_table().is_none());
     }
 
     #[test]
     fn take_delta_partitions_hits_exactly() {
-        for c in slotted() {
+        for c in all_impls() {
             let s0 = c.resolve(p(0));
             let s1 = c.resolve(p(1));
             c.add_slot(s0, 5);
@@ -788,7 +606,7 @@ mod tests {
 
     #[test]
     fn take_delta_rebases_after_clear() {
-        for c in slotted() {
+        for c in all_impls() {
             let s = c.resolve(p(0));
             c.add_slot(s, 10);
             assert_eq!(c.take_delta(), vec![(s, 10)]);
@@ -841,11 +659,10 @@ mod tests {
     fn sampling_preloaded_slot_table_skips_interning() {
         let c = Counters::new();
         let s0 = c.resolve(p(0));
-        let table = c.slot_table().unwrap();
+        let table = c.slot_table();
         let warm = Counters::with_slot_table_sampling(table, 101);
         assert_eq!(warm.resolved_slots(), 1, "slots preloaded");
         assert_eq!(warm.resolve(p(0)), s0, "same slot ids as the saver");
-        assert_eq!(warm.impl_kind(), CounterImpl::Sampling);
         assert_eq!(warm.sample_hz(), Some(101));
         assert_eq!(Counters::new().sample_hz(), None);
     }

@@ -3,11 +3,10 @@
 //! This crate implements the profiling side of the paper's design (§3):
 //!
 //! - [`Counters`] — the live counter registry, incremented by the evaluator
-//!   while a program runs instrumented. Dense slot-indexed by default: a
-//!   [`SlotMap`] interns each profile point ([`pgmp_syntax::SourceObject`])
-//!   to a stable `u32` slot at instrumentation time, so a bump is a plain
-//!   vector index instead of a hash; the legacy hash-keyed representation
-//!   survives behind [`CounterImpl::Hash`] as an interop/baseline view;
+//!   while a program runs instrumented. A [`SlotMap`] interns each profile
+//!   point ([`pgmp_syntax::SourceObject`]) to a stable `u32` slot at
+//!   instrumentation time, so a bump is a plain vector index instead of a
+//!   hash (or, on a sampling registry, one beacon store);
 //! - [`Dataset`] — a snapshot of counters from one profiled run;
 //! - [`ProfileInformation`] — **profile weights** in `[0,1]`, computed from
 //!   one or more datasets and merged by weighted averaging exactly as
@@ -51,7 +50,7 @@ pub mod sampling;
 mod slots;
 mod store;
 
-pub use counters::{CounterImpl, Counters, Dataset};
+pub use counters::{Counters, Dataset};
 pub use rebase::{
     rebase, MatchTier, RebaseConfig, RebaseError, RebaseOutcome, RebaseReport, RebaseResult,
 };

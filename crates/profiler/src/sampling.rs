@@ -39,8 +39,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default sampler rate for `--counter-impl sampling`. Prime, so periodic
-/// workloads do not resonate with the tick train.
+/// The recommended sampler rate (`pgmp-run --sample-hz 997`). Prime, so
+/// periodic workloads do not resonate with the tick train.
 pub const DEFAULT_SAMPLE_HZ: u32 = 997;
 
 /// Consecutive idle ticks (beacon = 0) before the sampler halves its
