@@ -597,6 +597,7 @@ impl AdaptiveEngine {
         let optimized_under_points = weights.len();
         if let Some(incr) = self.incremental.as_mut() {
             let unit = incr.compile(&weights)?;
+            let cfgs = unit.cfgs();
             if let Some(serving) = self.serving.as_mut() {
                 // Hand the new generation's chunks to the serving VM;
                 // reused forms keep their chunk ids, so the counters
@@ -606,7 +607,7 @@ impl AdaptiveEngine {
             return Ok(Arc::new(CompiledProgram {
                 generation,
                 expansion: unit.expansion,
-                cfgs: unit.cfgs,
+                cfgs,
                 optimized_under_points,
                 reused_forms: unit.stats.reused,
                 reexpanded_forms: unit.stats.reexpanded,
@@ -1086,6 +1087,7 @@ mod tests {
             ..AdaptiveConfig::default()
         };
         let mut engine = AdaptiveEngine::new(IF_R, "ifr.scm", config).unwrap();
+        let gen0 = engine.current_program();
 
         // Phase 1: traffic is all n >= 10, so 'big dominates.
         engine.collect_run(Some(&drive(10, 60))).unwrap();
@@ -1093,7 +1095,9 @@ mod tests {
         assert!(report.fired, "first traffic must drift from empty baseline");
         assert!(report.reoptimized);
         assert_eq!(report.generation, 1);
-        let text = engine.current_program().expansion.join("\n");
+        let gen1 = engine.current_program();
+        assert_ne!(gen1.cfgs, gen0.cfgs, "the flip must reach the bytecode");
+        let text = gen1.expansion.join("\n");
         assert!(
             text.contains("(if (not (< n 10)) (quote big) (quote small))"),
             "hot 'big branch should be negated to front: {text}"
@@ -1117,6 +1121,8 @@ mod tests {
             text.contains("(if (< n 10) (quote small) (quote big))"),
             "after the shift 'small is hot again: {text}"
         );
+        // Generation 0's code again, so generation 0's CFGs.
+        assert_eq!(program.cfgs, gen0.cfgs);
     }
 
     /// Fall-through ratio of the control transfers between two metric

@@ -5,8 +5,8 @@
 //! epoch counter, plus the baseline weights the serving program was last
 //! optimized under — so a restarted process resumes drift detection where
 //! the old one stopped instead of from a cold profile. The format follows
-//! the profile store's conventions (one s-expression, read back with the
-//! system reader, atomic writes, typed errors):
+//! the profile store's conventions (one s-expression decoded in one
+//! streaming pass, atomic writes, typed errors):
 //!
 //! ```text
 //! (pgmp-epoch
@@ -22,8 +22,8 @@
 use crate::rolling::RollingProfile;
 use pgmp_observe as observe;
 use pgmp_profiler::{write_atomic, ProfileInformation, ProfileStoreError};
-use pgmp_reader::read_datums;
-use pgmp_syntax::{Datum, SourceObject};
+use pgmp_reader::{Cursor, ReadError};
+use pgmp_syntax::{Datum, SourceInterner, SourceObject, StrLit};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -39,10 +39,6 @@ pub struct EpochSnapshot {
     pub counts: Vec<(SourceObject, f64)>,
     /// Weights the serving program generation was optimized under.
     pub baseline: ProfileInformation,
-}
-
-fn malformed(msg: impl Into<String>) -> ProfileStoreError {
-    ProfileStoreError::Malformed(msg.into())
 }
 
 impl EpochSnapshot {
@@ -65,7 +61,7 @@ impl EpochSnapshot {
             let _ = writeln!(
                 out,
                 "  (count {} {} {} {})",
-                Datum::string(p.file.as_str()),
+                StrLit(p.file.as_str()),
                 p.bfp,
                 p.efp,
                 Datum::Float(*c)
@@ -82,7 +78,7 @@ impl EpochSnapshot {
             let _ = write!(
                 out,
                 " (point {} {} {} {})",
-                Datum::string(p.file.as_str()),
+                StrLit(p.file.as_str()),
                 p.bfp,
                 p.efp,
                 Datum::Float(w)
@@ -92,73 +88,68 @@ impl EpochSnapshot {
         out
     }
 
-    /// Parses a snapshot.
+    /// Parses a snapshot in one walk over a [`Cursor`].
     ///
     /// # Errors
     ///
-    /// Typed [`ProfileStoreError`]s: `Malformed` for structural problems,
-    /// `UnsupportedVersion` for a version other than 1. Never panics on
-    /// hostile input.
+    /// Typed [`ProfileStoreError`]s: `Malformed` for structural problems
+    /// (positions outside `[0, 2^32)` included), `UnsupportedVersion` for a
+    /// version other than 1. Never panics on hostile input.
     pub fn load_from_str(text: &str) -> Result<EpochSnapshot, ProfileStoreError> {
-        let forms = read_datums(text, "<epoch>")
-            .map_err(|e| malformed(format!("unreadable: {e}")))?;
-        let [datum]: [Datum; 1] = forms
-            .try_into()
-            .map_err(|_| malformed("expected exactly one top-level form"))?;
-        let elems = datum
-            .list_elems()
-            .ok_or_else(|| malformed("top-level form must be a list"))?;
-        let [head, entries @ ..] = elems.as_slice() else {
-            return Err(malformed("empty snapshot file"));
-        };
-        match head {
-            Datum::Sym(s) if s.as_str() == "pgmp-epoch" => {}
-            other => return Err(malformed(format!("unexpected header `{other}`"))),
+        let mut c = Cursor::new(text, "<epoch>");
+        c.open("snapshot")?;
+        if c.sym("pgmp-epoch header")? != "pgmp-epoch" {
+            return Err(c.error("unexpected header").into());
         }
+        let mut files = SourceInterner::default();
         let mut version: Option<i64> = None;
         let mut decay = 1.0f64;
         let mut epochs = 0u64;
         let mut counts: Vec<(SourceObject, f64)> = Vec::new();
         let mut baseline = ProfileInformation::empty();
-        for e in entries {
-            let elems = e
-                .list_elems()
-                .ok_or_else(|| malformed("snapshot entry must be a list"))?;
-            let [Datum::Sym(tag), args @ ..] = elems.as_slice() else {
-                return Err(malformed(format!("snapshot entry missing tag: {e}")));
-            };
-            match (tag.as_str(), args) {
-                ("version", [Datum::Int(v)]) => {
-                    if version.replace(*v).is_some() {
-                        return Err(malformed("duplicate version entry"));
+        while let Some((tag, _)) = c.entry("snapshot")? {
+            match tag {
+                "version" => {
+                    let v = c.int("version")?;
+                    if version.replace(v).is_some() {
+                        return Err(c.error("duplicate version entry").into());
                     }
                 }
-                ("decay", [d]) => {
-                    decay = num(d).ok_or_else(|| malformed(format!("bad decay {d}")))?;
+                "decay" => {
+                    decay = number(&mut c, "decay")?;
                     if !(0.0..=1.0).contains(&decay) {
-                        return Err(malformed(format!("decay {decay} outside [0,1]")));
+                        return Err(c.error(format!("decay {decay} outside [0,1]")).into());
                     }
                 }
-                ("epochs", [Datum::Int(n)]) if *n >= 0 => epochs = *n as u64,
-                ("count", [Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), c])
-                    if *bfp >= 0 && *efp >= 0 =>
-                {
-                    let c = num(c).ok_or_else(|| malformed(format!("bad count {c}")))?;
-                    if !c.is_finite() || c < 0.0 {
-                        return Err(malformed(format!("count {c} must be finite and >= 0")));
+                "epochs" => {
+                    let n = c.int("epoch count")?;
+                    epochs = u64::try_from(n).map_err(|_| c.error("negative epoch count"))?;
+                }
+                "count" => {
+                    let file = c.string("count file")?;
+                    let bfp = c.u32("count position")?;
+                    let efp = c.u32("count position")?;
+                    let n = number(&mut c, "count")?;
+                    if !n.is_finite() || n < 0.0 {
+                        return Err(c.error(format!("count {n} must be finite and >= 0")).into());
                     }
-                    counts.push((SourceObject::new(file, *bfp as u32, *efp as u32), c));
+                    counts.push((files.point(&file, bfp, efp), n));
                 }
-                ("baseline", body) => baseline = baseline_from(body)?,
-                (other, _) => {
-                    return Err(malformed(format!("unknown snapshot entry `{other}`")));
+                "baseline" => {
+                    baseline = read_baseline(&mut c, &mut files)?;
+                    continue;
                 }
+                other => return Err(c.error(format!("unknown snapshot entry `{other}`")).into()),
             }
+            c.close(tag)?;
+        }
+        if c.next()?.is_some() {
+            return Err(c.error("expected exactly one top-level form").into());
         }
         match version {
             Some(1) => {}
             Some(v) => return Err(ProfileStoreError::UnsupportedVersion(v)),
-            None => return Err(malformed("missing version entry")),
+            None => return Err(c.error("missing version entry").into()),
         }
         Ok(EpochSnapshot {
             decay,
@@ -205,39 +196,44 @@ impl EpochSnapshot {
     }
 }
 
-fn num(d: &Datum) -> Option<f64> {
-    match d {
-        Datum::Float(x) => Some(*x),
-        Datum::Int(n) => Some(*n as f64),
-        _ => None,
-    }
+fn number(c: &mut Cursor, what: &str) -> Result<f64, ReadError> {
+    let a = c.atom(what)?;
+    a.number().ok_or_else(|| c.error(format!("bad {what}")))
 }
 
-fn baseline_from(entries: &[Datum]) -> Result<ProfileInformation, ProfileStoreError> {
+
+/// After `(baseline`: `(datasets N)` and weighted points, and the close.
+fn read_baseline(
+    c: &mut Cursor,
+    files: &mut SourceInterner,
+) -> Result<ProfileInformation, ReadError> {
     let mut dataset_count = 1usize;
     let mut weights = Vec::new();
-    for e in entries {
-        let elems = e
-            .list_elems()
-            .ok_or_else(|| malformed("baseline entry must be a list"))?;
-        match elems.as_slice() {
-            [Datum::Sym(tag), Datum::Int(n)] if tag.as_str() == "datasets" && *n >= 0 => {
-                dataset_count = *n as usize;
+    while let Some((tag, _)) = c.entry("baseline")? {
+        match tag {
+            "datasets" => {
+                let n = c.int("dataset count")?;
+                dataset_count = usize::try_from(n).map_err(|_| c.error("negative dataset count"))?;
             }
-            [Datum::Sym(tag), Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w]
-                if tag.as_str() == "point" && *bfp >= 0 && *efp >= 0 =>
-            {
-                let w = num(w).ok_or_else(|| malformed(format!("bad weight {w}")))?;
+            "point" => {
+                let file = c.string("point file")?;
+                let bfp = c.u32("point position")?;
+                let efp = c.u32("point position")?;
+                let w = number(c, "weight")?;
                 if !(0.0..=1.0).contains(&w) {
-                    return Err(malformed(format!("weight {w} outside [0,1]")));
+                    return Err(c.error(format!("weight {w} outside [0,1]")));
                 }
-                weights.push((SourceObject::new(file, *bfp as u32, *efp as u32), w));
+                weights.push((files.point(&file, bfp, efp), w));
             }
-            _ => return Err(malformed(format!("unknown baseline entry {e}"))),
+            other => return Err(c.error(format!("unknown baseline entry `{other}`"))),
         }
+        c.close(tag)?;
     }
     Ok(ProfileInformation::from_weights(weights, dataset_count))
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -303,6 +299,19 @@ mod tests {
             EpochSnapshot::load_from_str("(pgmp-epoch (version 7))"),
             Err(ProfileStoreError::UnsupportedVersion(7))
         ));
+    }
+
+    #[test]
+    fn positions_outside_u32_are_malformed_not_wrapped() {
+        for text in [
+            "(pgmp-epoch (version 1) (count \"x\" 4294967297 4294967300 1.0))",
+            "(pgmp-epoch (version 1) (baseline (point \"x\" 0 4294967296 0.5)))",
+        ] {
+            assert!(
+                matches!(EpochSnapshot::load_from_str(text), Err(ProfileStoreError::Malformed(_))),
+                "{text}"
+            );
+        }
     }
 
     #[test]

@@ -233,6 +233,57 @@ fn incremental_warm_start_recompiles_with_zero_reexpansions() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("pgmp-run"));
 }
 
+/// The store-codec smoke test: a session saved by a warm start is the
+/// session it started from, byte for byte.
+#[test]
+fn warm_start_saves_the_session_it_loaded_byte_for_byte() {
+    let dir = tmpdir();
+    let prog = dir.join("codec.scm");
+    let profile = dir.join("codec.pgmp");
+    let (a, b) = (dir.join("a.session"), dir.join("b.session"));
+    std::fs::write(
+        &prog,
+        "(define (classify n) (if-r (< n 10) 'small 'big))
+         (define (grade n) (exclusive-cond ((< n 20) 'low) ((>= n 20) 'high)))
+         (let loop ([i 0] [k 0])
+           (if (= i 60) k
+               (loop (add1 i) (if (eq? (grade i) (classify i)) (add1 k) k))))",
+    )
+    .unwrap();
+    let libs = ["--libs", "if-r,exclusive-cond"];
+    let run = |extra: &[&str]| {
+        let out = pgmp_run(&[&libs[..], extra, &[prog.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    run(&["--instrument", "every", "--store", profile.to_str().unwrap()]);
+    run(&["--incremental", "--load", profile.to_str().unwrap(), "--save-state", a.to_str().unwrap()]);
+    let stderr = run(&[
+        "--incremental",
+        "--load-state", a.to_str().unwrap(),
+        "--save-state", b.to_str().unwrap(),
+    ]);
+    assert!(stderr.contains("3 of 3 form(s) restored"), "{stderr}");
+    assert!(stderr.contains("0 re-expanded"), "{stderr}");
+    assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+}
+
+#[test]
+fn profile_positions_past_u32_are_rejected_not_wrapped() {
+    let dir = tmpdir();
+    let big = dir.join("big.pgmp");
+    std::fs::write(
+        &big,
+        "(pgmp-profile (version 1) (datasets 1) (point \"a.scm\" 4294967297 4294967300 0.5))",
+    )
+    .unwrap();
+    let out = pgmp_profile(&["merge", "-o", dir.join("m.pgmp").to_str().unwrap(), big.to_str().unwrap()]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("malformed"), "{stderr}");
+    assert!(!dir.join("m.pgmp").exists());
+}
+
 #[test]
 fn state_flags_require_a_stateful_mode() {
     let dir = tmpdir();

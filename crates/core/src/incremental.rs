@@ -49,13 +49,13 @@ use crate::engine::Engine;
 use crate::error::Error;
 use crate::persist::{self, SaveStats, WarmStart};
 use pgmp_bytecode::{canonical_form, compile_chunk, Chunk};
-use pgmp_eval::{core_to_datum_with, Core, StringTable};
+use pgmp_eval::Core;
 use pgmp_expander::form_hash;
 use pgmp_observe as observe;
 use pgmp_profiler::rebase::{lcs_align, span_map_lockstep, struct_hash};
 use pgmp_profiler::{write_atomic, ProfileInformation, ProfileStoreError};
 use pgmp_reader::read_str;
-use pgmp_syntax::{Datum, SourceFactory, SourceObject, Syntax};
+use pgmp_syntax::{SourceFactory, SourceObject, Syntax};
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::rc::Rc;
@@ -108,10 +108,17 @@ pub struct CompiledUnit {
     /// their original chunk ids, so block counters collected against an
     /// earlier compile remain valid for them.
     pub chunks: Vec<Chunk>,
-    /// Canonical CFGs of `chunks`, in order.
-    pub cfgs: Vec<String>,
     /// Reuse accounting for this compile.
     pub stats: ReuseStats,
+}
+
+impl CompiledUnit {
+    /// Canonical CFGs of `chunks`, in order (see
+    /// [`pgmp_bytecode::canonical_form`]). Computed on each call: only the
+    /// three-pass stability check and tests compare them.
+    pub fn cfgs(&self) -> Vec<String> {
+        self.chunks.iter().map(canonical_form).collect()
+    }
 }
 
 /// One top-level form's cache entry.
@@ -119,12 +126,11 @@ struct FormEntry {
     reads: ProfileReadLog,
     factory_pre: SourceFactory,
     factory_post: SourceFactory,
-    /// Printed expansion, core forms, chunks, canonical CFGs — everything
-    /// a compile emits for this form, reusable verbatim.
+    /// Printed expansion, core forms, chunks — everything a compile emits
+    /// for this form, reusable verbatim.
     expansion: Vec<String>,
     cores: Vec<Rc<Core>>,
     chunks: Vec<Chunk>,
-    cfgs: Vec<String>,
     /// Full profile at expansion time — kept only when the form read the
     /// whole profile (`current-profile-information`).
     profile_snapshot: Option<ProfileInformation>,
@@ -415,7 +421,6 @@ impl IncrementalEngine {
             expansion: Vec::new(),
             cores: Vec::new(),
             chunks: Vec::new(),
-            cfgs: Vec::new(),
             stats: ReuseStats {
                 total_forms: self.forms.len(),
                 ..ReuseStats::default()
@@ -443,7 +448,6 @@ impl IncrementalEngine {
                 unit.expansion.extend(entry.expansion.iter().cloned());
                 unit.cores.extend(entry.cores.iter().cloned());
                 unit.chunks.extend(entry.chunks.iter().cloned());
-                unit.cfgs.extend(entry.cfgs.iter().cloned());
                 unit.stats.reused += 1;
                 if observe::enabled() {
                     observe::emit(observe::EventKind::CacheHit { form: i as u32 });
@@ -475,7 +479,6 @@ impl IncrementalEngine {
             }
 
             let chunks: Vec<Chunk> = cores.iter().map(compile_chunk).collect();
-            let cfgs: Vec<String> = chunks.iter().map(canonical_form).collect();
             let expansion: Vec<String> =
                 syntax_out.iter().map(|s| s.to_datum().to_string()).collect();
             let profile_snapshot = reads.whole_profile.then(|| weights.clone());
@@ -483,7 +486,6 @@ impl IncrementalEngine {
             unit.expansion.extend(expansion.iter().cloned());
             unit.cores.extend(cores.iter().cloned());
             unit.chunks.extend(chunks.iter().cloned());
-            unit.cfgs.extend(cfgs.iter().cloned());
             unit.stats.reexpanded += 1;
 
             self.unindex_entry(i);
@@ -494,7 +496,6 @@ impl IncrementalEngine {
                 expansion,
                 cores,
                 chunks,
-                cfgs,
                 profile_snapshot,
                 meta,
             });
@@ -561,22 +562,12 @@ impl IncrementalEngine {
         "meta-dirty".into()
     }
 
-    /// Serializes the recompilation cache to `path` so a fresh process can
-    /// warm-start with [`IncrementalEngine::load_state`]. The write is
-    /// atomic (temp file + rename); the format is documented in
-    /// [`crate::persist`].
-    ///
-    /// Forms that cannot be persisted are skipped, not errors: forms never
-    /// compiled, forms with volatile profile reads, and forms whose core
-    /// artifacts contain residual syntax objects (see
-    /// [`pgmp_eval::core_to_datum`]). They simply re-expand on warm start —
-    /// a sound degradation, never a wrong reuse.
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileStoreError::Malformed`] if no compile has succeeded yet
-    /// (there is no cache to save), or an I/O error from the atomic write.
-    pub fn save_state(&self, path: impl AsRef<Path>) -> Result<SaveStats, Error> {
+    /// What a session file records: the source file name, the weights
+    /// of the last compile, and one record per persistable cache entry
+    /// (never-compiled forms and forms with volatile reads have none).
+    pub(crate) fn session_records(
+        &self,
+    ) -> Result<(String, &ProfileInformation, Vec<persist::FormRecord<'_>>), Error> {
         let weights = self.last_weights.as_ref().ok_or_else(|| {
             ProfileStoreError::Malformed("cannot save session: no successful compile yet".into())
         })?;
@@ -586,65 +577,58 @@ impl IncrementalEngine {
             .find_map(|f| f.first_source())
             .map(|s| s.file.as_str().to_owned())
             .unwrap_or_default();
-        let mut stats = SaveStats {
-            total_forms: self.forms.len(),
-            ..SaveStats::default()
-        };
-        let mut rendered: Vec<String> = Vec::new();
-        // One string table for the whole session: every core tree's file
-        // names and global symbols serialize as indices into it.
-        let mut table = StringTable::new();
+        let mut records: Vec<persist::FormRecord> = Vec::new();
         for (i, entry) in self.entries.iter().enumerate() {
             let entry = match entry {
                 Some(e) if !e.reads.volatile_reads => e,
-                _ => {
-                    stats.skipped += 1;
-                    continue;
-                }
+                _ => continue,
             };
-            if entry.meta {
-                // Replayed at load: only the validation data is stored, the
-                // artifacts are regenerated by the real expander.
-                rendered.push(persist::form_entry_string(
-                    i,
-                    self.hashes[i],
-                    true,
-                    &entry.reads,
-                    &entry.factory_pre,
-                    &entry.factory_post,
-                    &[],
-                    &[],
-                    &[],
-                    None,
-                ));
-                stats.saved += 1;
-                continue;
-            }
-            let cores: Option<Vec<Datum>> = entry
-                .cores
-                .iter()
-                .map(|c| core_to_datum_with(c, &mut table))
-                .collect();
-            let Some(cores) = cores else {
-                stats.skipped += 1;
-                continue;
-            };
-            let chunk_ids: Vec<u32> = entry.chunks.iter().map(|c| c.id).collect();
-            rendered.push(persist::form_entry_string(
-                i,
-                self.hashes[i],
-                false,
-                &entry.reads,
-                &entry.factory_pre,
-                &entry.factory_post,
-                &entry.expansion,
-                &cores,
-                &chunk_ids,
-                entry.profile_snapshot.as_ref(),
-            ));
-            stats.saved += 1;
+            // Meta forms are replayed at load: only the validation data is
+            // stored, the artifacts are regenerated by the real expander.
+            let artifacts = !entry.meta;
+            records.push(persist::FormRecord {
+                index: i,
+                hash: self.hashes[i],
+                meta: entry.meta,
+                reads: &entry.reads,
+                fpre: &entry.factory_pre,
+                fpost: &entry.factory_post,
+                expansion: if artifacts { &entry.expansion } else { &[] },
+                cores: if artifacts { &entry.cores } else { &[] },
+                chunk_ids: if artifacts {
+                    entry.chunks.iter().map(|c| c.id).collect()
+                } else {
+                    Vec::new()
+                },
+                snapshot: entry.profile_snapshot.as_ref().filter(|_| artifacts),
+            });
         }
-        let text = persist::session_string(&file, weights, table.symbols(), &rendered);
+        Ok((file, weights, records))
+    }
+
+    /// Serializes the recompilation cache to `path` so a fresh process can
+    /// warm-start with [`IncrementalEngine::load_state`]. The write is
+    /// atomic (temp file + rename); the format is documented in
+    /// [`crate::persist`].
+    ///
+    /// Forms that cannot be persisted are skipped, not errors: forms never
+    /// compiled, forms with volatile profile reads, and forms whose core
+    /// artifacts contain residual syntax objects (see
+    /// [`pgmp_eval::StringTable::intern_core`]). They simply re-expand on
+    /// warm start — a sound degradation, never a wrong reuse.
+    ///
+    /// # Errors
+    ///
+    /// [`ProfileStoreError::Malformed`] if no compile has succeeded yet
+    /// (there is no cache to save), or an I/O error from the atomic write.
+    pub fn save_state(&self, path: impl AsRef<Path>) -> Result<SaveStats, Error> {
+        let (file, weights, records) = self.session_records()?;
+        let (text, saved) = persist::write_session(&file, weights, &records);
+        let stats = SaveStats {
+            total_forms: self.forms.len(),
+            saved,
+            skipped: self.forms.len() - saved,
+        };
         let t = observe::timer();
         write_atomic(path.as_ref(), &text).map_err(|e| Error::Profile(ProfileStoreError::Io(e)))?;
         observe::finish(t, |duration_us| observe::EventKind::StoreWrite {
@@ -746,7 +730,6 @@ impl IncrementalEngine {
                 // definition.
                 let _ = self.engine.expander_mut().take_meta_dirty();
                 let chunks: Vec<Chunk> = cores.iter().map(compile_chunk).collect();
-                let cfgs: Vec<String> = chunks.iter().map(canonical_form).collect();
                 let expansion: Vec<String> =
                     syntax_out.iter().map(|s| s.to_datum().to_string()).collect();
                 let profile_snapshot = reads.whole_profile.then(|| stored_weights.clone());
@@ -757,7 +740,6 @@ impl IncrementalEngine {
                     expansion,
                     cores,
                     chunks,
-                    cfgs,
                     profile_snapshot,
                     meta: true,
                 });
@@ -767,7 +749,6 @@ impl IncrementalEngine {
                 for (old, new) in stored.chunk_ids.iter().zip(chunks.iter()) {
                     ws.chunk_map.push((*old, new.id));
                 }
-                let cfgs: Vec<String> = chunks.iter().map(canonical_form).collect();
                 let profile_snapshot = stored
                     .snapshot
                     .or_else(|| stored.reads.whole_profile.then(|| stored_weights.clone()));
@@ -779,7 +760,6 @@ impl IncrementalEngine {
                     expansion: stored.expansion,
                     cores: stored.cores,
                     chunks,
-                    cfgs,
                     profile_snapshot,
                     meta: false,
                 });
@@ -841,7 +821,7 @@ mod tests {
         let second = incr.compile(&w).unwrap();
         assert!(second.stats.all_reused(), "stats: {:?}", second.stats);
         assert_eq!(first.expansion, second.expansion);
-        assert_eq!(first.cfgs, second.cfgs);
+        assert_eq!(first.cfgs(), second.cfgs());
     }
 
     #[test]
@@ -1130,7 +1110,7 @@ mod tests {
         let unit = incr.compile(&w).unwrap();
         assert!(unit.stats.all_reused(), "stats: {:?}", unit.stats);
         assert_eq!(unit.expansion, first.expansion);
-        assert_eq!(unit.cfgs, first.cfgs);
+        assert_eq!(unit.cfgs(), first.cfgs());
 
         // And the cache is still *live*: flipping the branch weights after
         // a warm start re-expands exactly the dependent form.

@@ -4,8 +4,8 @@
 //! cache — form fingerprints, profile read-sets, factory snapshots, printed
 //! expansions, and core trees *with their source objects* — so a fresh
 //! process can warm-start re-optimization in O(changed forms) instead of
-//! expanding everything from scratch. The file is a single s-expression
-//! (like profile files, read back with the system's own reader):
+//! expanding everything from scratch. The file is a single s-expression,
+//! like profile files:
 //!
 //! ```text
 //! (pgmp-session
@@ -39,18 +39,28 @@
 //! are rehydrated from their stored artifacts. See DESIGN.md §4d for the
 //! soundness argument.
 //!
-//! Loads are corruption-tolerant: any structural problem surfaces as a
-//! typed [`ProfileStoreError`], never a panic, and writes go through
-//! [`pgmp_profiler::write_atomic`].
+//! Both directions stream. The writer renders straight into one `String`
+//! — no datum tree — and its output is byte-identical to printing the
+//! entries as datums. The decoder walks the file once with a
+//! [`pgmp_reader::Cursor`], core trees included
+//! ([`pgmp_eval::read_core`]); only a file whose `(strings …)` section
+//! follows a `(form …)` entry costs a second walk over its form entries.
+//! Canonical CFG strings are not part of a session: consumers compute
+//! them on demand ([`crate::incremental::CompiledUnit::cfgs`]).
+//!
+//! Loads are corruption-tolerant: any structural problem — including a
+//! position outside `[0, 2^32)` — surfaces as a typed
+//! [`ProfileStoreError`] naming the byte offset, never a panic, and
+//! writes go through [`pgmp_profiler::write_atomic`].
 //!
 //! [`IncrementalEngine`]: crate::incremental::IncrementalEngine
 //! [`IncrementalEngine::save_state`]: crate::incremental::IncrementalEngine::save_state
 
 use crate::api::ProfileReadLog;
-use pgmp_eval::{core_from_datum_with, Core};
+use pgmp_eval::{read_core, write_core, Core, StringTable};
 use pgmp_profiler::{ProfileInformation, ProfileStoreError};
-use pgmp_reader::read_datums;
-use pgmp_syntax::{Datum, SourceFactory, SourceObject, Symbol};
+use pgmp_reader::{Atom, Cursor, Event, ReadError};
+use pgmp_syntax::{Datum, SourceFactory, SourceInterner, SourceObject, StrLit, Symbol};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -95,6 +105,7 @@ pub struct WarmStart {
 }
 
 /// One form's persisted cache entry, decoded.
+#[derive(Debug, PartialEq)]
 pub(crate) struct StoredForm {
     pub(crate) index: usize,
     pub(crate) hash: u64,
@@ -109,6 +120,7 @@ pub(crate) struct StoredForm {
 }
 
 /// A whole decoded session file.
+#[derive(Debug, PartialEq)]
 pub(crate) struct StoredSession {
     pub(crate) file: String,
     pub(crate) weights: ProfileInformation,
@@ -119,218 +131,257 @@ fn malformed(msg: impl Into<String>) -> ProfileStoreError {
     ProfileStoreError::Malformed(msg.into())
 }
 
-fn point_datums(p: SourceObject, w: Option<f64>) -> Datum {
-    let mut elems = vec![
-        Datum::sym("point"),
-        Datum::string(p.file.as_str()),
-        Datum::Int(p.bfp as i64),
-        Datum::Int(p.efp as i64),
-    ];
-    if let Some(w) = w {
-        elems.push(Datum::Float(w));
-    }
-    Datum::list(elems)
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// One form's cache entry, as [`write_session`] renders it.
+pub(crate) struct FormRecord<'a> {
+    pub(crate) index: usize,
+    pub(crate) hash: u64,
+    pub(crate) meta: bool,
+    pub(crate) reads: &'a ProfileReadLog,
+    pub(crate) fpre: &'a SourceFactory,
+    pub(crate) fpost: &'a SourceFactory,
+    /// Artifacts: empty for meta forms, which are replayed at load.
+    pub(crate) expansion: &'a [String],
+    pub(crate) cores: &'a [Rc<Core>],
+    pub(crate) chunk_ids: Vec<u32>,
+    pub(crate) snapshot: Option<&'a ProfileInformation>,
 }
 
-fn point_from(args: &[Datum]) -> Result<(SourceObject, Option<f64>), ProfileStoreError> {
-    match args {
-        [Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), rest @ ..]
-            if *bfp >= 0 && *efp >= 0 && rest.len() <= 1 =>
-        {
-            let w = match rest.first() {
-                None => None,
-                Some(Datum::Float(x)) => Some(*x),
-                Some(Datum::Int(n)) => Some(*n as f64),
-                Some(other) => return Err(malformed(format!("bad weight {other}"))),
-            };
-            Ok((SourceObject::new(file, *bfp as u32, *efp as u32), w))
-        }
-        _ => Err(malformed("malformed point entry")),
-    }
+fn write_point(out: &mut String, p: SourceObject, w: f64) {
+    let _ = write!(
+        out,
+        "(point {} {} {} {})",
+        StrLit(p.file.as_str()),
+        p.bfp,
+        p.efp,
+        Datum::Float(w)
+    );
 }
 
-/// Emits `(datasets N) (point …)…` entries for `info`, sorted.
-fn profile_body(info: &ProfileInformation) -> Vec<Datum> {
+/// Writes `(tag (datasets N) (point …)…)` for `info`, points sorted.
+fn write_profile(out: &mut String, tag: &str, info: &ProfileInformation) {
     let mut points: Vec<(SourceObject, f64)> = info.iter().collect();
     points.sort_by_key(|a| a.0);
-    let mut out = vec![Datum::list(vec![
-        Datum::sym("datasets"),
-        Datum::Int(info.dataset_count() as i64),
-    ])];
-    out.extend(points.into_iter().map(|(p, w)| point_datums(p, Some(w))));
-    out
+    let _ = write!(out, "({tag} (datasets {})", info.dataset_count());
+    for (p, w) in points {
+        out.push(' ');
+        write_point(out, p, w);
+    }
+    out.push(')');
 }
 
-fn profile_from_body(entries: &[Datum]) -> Result<ProfileInformation, ProfileStoreError> {
+fn write_factory(out: &mut String, tag: &str, f: &SourceFactory) {
+    out.push('(');
+    out.push_str(tag);
+    for (file, n) in f.entries() {
+        let _ = write!(out, " ({} {n})", StrLit(file.as_str()));
+    }
+    out.push(')');
+}
+
+fn write_reads(out: &mut String, r: &ProfileReadLog) {
+    out.push_str("(reads");
+    for (p, w) in &r.points {
+        out.push(' ');
+        write_point(out, *p, *w);
+    }
+    if let Some(a) = r.availability {
+        let _ = write!(out, " (avail {})", Datum::Bool(a));
+    }
+    if r.whole_profile {
+        out.push_str(" (whole)");
+    }
+    if r.volatile_reads {
+        out.push_str(" (volatile)");
+    }
+    out.push(')');
+}
+
+fn write_form(out: &mut String, f: &FormRecord, table: &StringTable) {
+    let _ = write!(out, "  (form {} \"{:016x}\"", f.index, f.hash);
+    if f.meta {
+        out.push_str("\n    (meta)");
+    }
+    out.push_str("\n    ");
+    write_reads(out, f.reads);
+    out.push_str("\n    ");
+    write_factory(out, "fpre", f.fpre);
+    out.push_str("\n    ");
+    write_factory(out, "fpost", f.fpost);
+    if !f.expansion.is_empty() {
+        out.push_str("\n    (expansion");
+        for s in f.expansion {
+            let _ = write!(out, " {}", StrLit(s));
+        }
+        out.push(')');
+    }
+    if !f.cores.is_empty() {
+        out.push_str("\n    (cores");
+        for c in f.cores {
+            out.push(' ');
+            write_core(c, table, out);
+        }
+        out.push(')');
+    }
+    if !f.chunk_ids.is_empty() {
+        out.push_str("\n    (chunk-ids");
+        for id in &f.chunk_ids {
+            let _ = write!(out, " {id}");
+        }
+        out.push(')');
+    }
+    if let Some(info) = f.snapshot {
+        out.push_str("\n    ");
+        write_profile(out, "snapshot", info);
+    }
+    out.push_str(")\n");
+}
+
+/// Renders a session file. Forms whose core trees cannot be persisted
+/// (they hold residual syntax objects) are left out; returns the text and
+/// the number of forms written.
+pub(crate) fn write_session(
+    file: &str,
+    weights: &ProfileInformation,
+    forms: &[FormRecord],
+) -> (String, usize) {
+    // The string table heads the file but is only complete once every
+    // tree is interned, so intern first, then write.
+    let mut table = StringTable::new();
+    let keep: Vec<bool> = forms
+        .iter()
+        .map(|f| f.cores.iter().all(|c| table.intern_core(c)))
+        .collect();
+    let mut out = String::from("(pgmp-session\n  (version 1)\n");
+    let _ = writeln!(out, "  (file {})", StrLit(file));
+    out.push_str("  ");
+    write_profile(&mut out, "weights", weights);
+    out.push('\n');
+    if !table.is_empty() {
+        out.push_str("  (strings");
+        for s in table.symbols() {
+            let _ = write!(out, " {}", StrLit(s.as_str()));
+        }
+        out.push_str(")\n");
+    }
+    let mut saved = 0;
+    for (f, _) in forms.iter().zip(&keep).filter(|(_, k)| **k) {
+        write_form(&mut out, f, &table);
+        saved += 1;
+    }
+    out.push(')');
+    (out, saved)
+}
+
+// ---------------------------------------------------------------------------
+// Decoder
+// ---------------------------------------------------------------------------
+
+/// After `(point`: `file bfp efp [w]` and the close.
+fn read_point(
+    c: &mut Cursor,
+    files: &mut SourceInterner,
+) -> Result<(SourceObject, Option<f64>), ReadError> {
+    let file = c.string("point file")?;
+    let bfp = c.u32("point position")?;
+    let efp = c.u32("point position")?;
+    let w = match c.item("point")? {
+        None => return Ok((files.point(&file, bfp, efp), None)),
+        Some(Event::Atom(a)) => a.number().ok_or_else(|| c.error("bad weight"))?,
+        Some(_) => return Err(c.error("bad weight")),
+    };
+    c.close("point")?;
+    Ok((files.point(&file, bfp, efp), Some(w)))
+}
+
+/// After `(weights` or `(snapshot`: `(datasets N)` and weighted points.
+fn read_profile(
+    c: &mut Cursor,
+    files: &mut SourceInterner,
+) -> Result<ProfileInformation, ReadError> {
     let mut dataset_count = 1usize;
     let mut weights = Vec::new();
-    for e in entries {
-        let elems = e
-            .list_elems()
-            .ok_or_else(|| malformed("profile entry must be a list"))?;
-        match elems.as_slice() {
-            [Datum::Sym(tag), Datum::Int(n)] if tag.as_str() == "datasets" && *n >= 0 => {
-                dataset_count = *n as usize;
+    while let Some((tag, _)) = c.entry("profile")? {
+        match tag {
+            "datasets" => {
+                let n = c.int("dataset count")?;
+                dataset_count = usize::try_from(n).map_err(|_| c.error("negative dataset count"))?;
+                c.close("datasets")?;
             }
-            [Datum::Sym(tag), rest @ ..] if tag.as_str() == "point" => {
-                let (p, w) = point_from(rest)?;
-                let w = w.ok_or_else(|| malformed("point entry missing weight"))?;
+            "point" => {
+                let (p, w) = read_point(c, files)?;
+                let w = w.ok_or_else(|| c.error("point entry missing weight"))?;
                 if !(0.0..=1.0).contains(&w) {
-                    return Err(malformed(format!("weight {w} outside [0,1]")));
+                    return Err(c.error(format!("weight {w} outside [0,1]")));
                 }
                 weights.push((p, w));
             }
-            _ => return Err(malformed(format!("unknown profile entry {e}"))),
+            other => return Err(c.error(format!("unknown profile entry `{other}`"))),
         }
     }
     Ok(ProfileInformation::from_weights(weights, dataset_count))
 }
 
-fn factory_datum(tag: &str, f: &SourceFactory) -> Datum {
-    let mut elems = vec![Datum::sym(tag)];
-    elems.extend(f.entries().into_iter().map(|(file, n)| {
-        Datum::list(vec![Datum::string(file.as_str()), Datum::Int(n as i64)])
-    }));
-    Datum::list(elems)
-}
-
-fn factory_from(entries: &[Datum]) -> Result<SourceFactory, ProfileStoreError> {
+fn read_factory(c: &mut Cursor) -> Result<SourceFactory, ReadError> {
     let mut out = Vec::new();
-    for e in entries {
-        match e.list_elems().as_deref() {
-            Some([Datum::Str(file), Datum::Int(n)]) if *n >= 0 && *n <= u32::MAX as i64 => {
-                out.push((Symbol::intern(file), *n as u32));
-            }
-            _ => return Err(malformed(format!("bad factory entry {e}"))),
+    while let Some(ev) = c.item("factory")? {
+        if ev != Event::Open {
+            return Err(c.error("bad factory entry"));
         }
+        let file = c.string("factory file")?;
+        let n = c.u32("factory counter")?;
+        c.close("factory entry")?;
+        out.push((Symbol::intern(&file), n));
     }
     Ok(SourceFactory::from_entries(out))
 }
 
-fn reads_datum(r: &ProfileReadLog) -> Datum {
-    let mut elems = vec![Datum::sym("reads")];
-    for (p, w) in &r.points {
-        elems.push(point_datums(*p, Some(*w)));
-    }
-    if let Some(a) = r.availability {
-        elems.push(Datum::list(vec![Datum::sym("avail"), Datum::Bool(a)]));
-    }
-    if r.whole_profile {
-        elems.push(Datum::list(vec![Datum::sym("whole")]));
-    }
-    if r.volatile_reads {
-        elems.push(Datum::list(vec![Datum::sym("volatile")]));
-    }
-    Datum::list(elems)
-}
-
-fn reads_from(entries: &[Datum]) -> Result<ProfileReadLog, ProfileStoreError> {
+fn read_reads(c: &mut Cursor, files: &mut SourceInterner) -> Result<ProfileReadLog, ReadError> {
     let mut reads = ProfileReadLog::default();
-    for e in entries {
-        let elems = e
-            .list_elems()
-            .ok_or_else(|| malformed("reads entry must be a list"))?;
-        match elems.as_slice() {
-            [Datum::Sym(tag), rest @ ..] if tag.as_str() == "point" => {
-                let (p, w) = point_from(rest)?;
-                let w = w.ok_or_else(|| malformed("read point missing weight"))?;
+    while let Some((tag, _)) = c.entry("reads")? {
+        match tag {
+            "point" => {
+                let (p, w) = read_point(c, files)?;
+                let w = w.ok_or_else(|| c.error("read point missing weight"))?;
                 reads.points.push((p, w));
             }
-            [Datum::Sym(tag), Datum::Bool(a)] if tag.as_str() == "avail" => {
-                reads.availability = Some(*a);
+            "avail" => {
+                match c.atom("availability")? {
+                    Atom::Bool(a) => reads.availability = Some(a),
+                    _ => return Err(c.error("bad availability")),
+                }
+                c.close("avail")?;
             }
-            [Datum::Sym(tag)] if tag.as_str() == "whole" => reads.whole_profile = true,
-            [Datum::Sym(tag)] if tag.as_str() == "volatile" => reads.volatile_reads = true,
-            _ => return Err(malformed(format!("unknown reads entry {e}"))),
+            "whole" => {
+                c.close("whole")?;
+                reads.whole_profile = true;
+            }
+            "volatile" => {
+                c.close("volatile")?;
+                reads.volatile_reads = true;
+            }
+            other => return Err(c.error(format!("unknown reads entry `{other}`"))),
         }
     }
     Ok(reads)
 }
 
-/// One form's serialized entry; `cores` are pre-serialized core datums.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn form_entry_string(
-    index: usize,
-    hash: u64,
-    meta: bool,
-    reads: &ProfileReadLog,
-    fpre: &SourceFactory,
-    fpost: &SourceFactory,
-    expansion: &[String],
-    cores: &[Datum],
-    chunk_ids: &[u32],
-    snapshot: Option<&ProfileInformation>,
-) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "  (form {index} \"{hash:016x}\"");
-    if meta {
-        out.push_str("\n    (meta)");
-    }
-    let _ = write!(out, "\n    {}", reads_datum(reads));
-    let _ = write!(out, "\n    {}", factory_datum("fpre", fpre));
-    let _ = write!(out, "\n    {}", factory_datum("fpost", fpost));
-    if !expansion.is_empty() {
-        let strs: Vec<Datum> = expansion.iter().map(|s| Datum::string(s)).collect();
-        let mut elems = vec![Datum::sym("expansion")];
-        elems.extend(strs);
-        let _ = write!(out, "\n    {}", Datum::list(elems));
-    }
-    if !cores.is_empty() {
-        let mut elems = vec![Datum::sym("cores")];
-        elems.extend(cores.iter().cloned());
-        let _ = write!(out, "\n    {}", Datum::list(elems));
-    }
-    if !chunk_ids.is_empty() {
-        let mut elems = vec![Datum::sym("chunk-ids")];
-        elems.extend(chunk_ids.iter().map(|id| Datum::Int(*id as i64)));
-        let _ = write!(out, "\n    {}", Datum::list(elems));
-    }
-    if let Some(info) = snapshot {
-        let mut elems = vec![Datum::sym("snapshot")];
-        elems.extend(profile_body(info));
-        let _ = write!(out, "\n    {}", Datum::list(elems));
-    }
-    out.push(')');
-    out
-}
-
-/// Serializes the session header plus pre-rendered form entries.
-/// `strings` is the string table the entries' core trees were serialized
-/// against (indices into it appear inside `cores`).
-pub(crate) fn session_string(
-    file: &str,
-    weights: &ProfileInformation,
+/// After `(form`: the header, the sub-entries and the close.
+fn read_form(
+    c: &mut Cursor,
     strings: &[Symbol],
-    form_entries: &[String],
-) -> String {
-    let mut out = String::from("(pgmp-session\n  (version 1)\n");
-    let _ = writeln!(out, "  (file {})", Datum::string(file));
-    let mut welems = vec![Datum::sym("weights")];
-    welems.extend(profile_body(weights));
-    let _ = writeln!(out, "  {}", Datum::list(welems));
-    if !strings.is_empty() {
-        let mut selems = vec![Datum::sym("strings")];
-        selems.extend(strings.iter().map(|s| Datum::string(s.as_str())));
-        let _ = writeln!(out, "  {}", Datum::list(selems));
-    }
-    for entry in form_entries {
-        let _ = writeln!(out, "{entry}");
-    }
-    out.push(')');
-    out
-}
-
-fn form_from(args: &[Datum], strings: &[Symbol]) -> Result<StoredForm, ProfileStoreError> {
-    let [Datum::Int(index), Datum::Str(hash), rest @ ..] = args else {
-        return Err(malformed("malformed form entry header"));
-    };
-    if *index < 0 {
-        return Err(malformed("negative form index"));
-    }
-    let hash = u64::from_str_radix(hash, 16)
-        .map_err(|_| malformed(format!("bad form hash {hash:?}")))?;
+    files: &mut SourceInterner,
+) -> Result<StoredForm, ReadError> {
+    let index = c.int("form index")?;
+    let index = usize::try_from(index).map_err(|_| c.error("negative form index"))?;
+    let hash = c.string("form hash")?;
+    let hash = u64::from_str_radix(&hash, 16)
+        .map_err(|_| c.error(format!("bad form hash {hash:?}")))?;
     let mut form = StoredForm {
-        index: *index as usize,
+        index,
         hash,
         meta: false,
         reads: ProfileReadLog::default(),
@@ -341,50 +392,54 @@ fn form_from(args: &[Datum], strings: &[Symbol]) -> Result<StoredForm, ProfileSt
         chunk_ids: Vec::new(),
         snapshot: None,
     };
-    for e in rest {
-        let elems = e
-            .list_elems()
-            .ok_or_else(|| malformed("form sub-entry must be a list"))?;
-        let [Datum::Sym(tag), args @ ..] = elems.as_slice() else {
-            return Err(malformed(format!("form sub-entry missing tag: {e}")));
-        };
-        match tag.as_str() {
-            "meta" => form.meta = true,
-            "reads" => form.reads = reads_from(args)?,
-            "fpre" => form.fpre = factory_from(args)?,
-            "fpost" => form.fpost = factory_from(args)?,
+    while let Some((tag, _)) = c.entry("form")? {
+        match tag {
+            "meta" => {
+                // Arguments are ignored, but the entry must still be a
+                // proper list.
+                let depth = c.depth() - 1;
+                if !c.skip_to(depth)? {
+                    return Err(c.error("form sub-entry must be a list"));
+                }
+                form.meta = true;
+            }
+            "reads" => form.reads = read_reads(c, files)?,
+            "fpre" => form.fpre = read_factory(c)?,
+            "fpost" => form.fpost = read_factory(c)?,
             "expansion" => {
-                form.expansion = args
-                    .iter()
-                    .map(|d| match d {
-                        Datum::Str(s) => Ok(s.to_string()),
-                        other => Err(malformed(format!("bad expansion entry {other}"))),
-                    })
-                    .collect::<Result<_, _>>()?;
+                form.expansion.clear();
+                while let Some(ev) = c.item("expansion")? {
+                    let s = match ev {
+                        Event::Atom(a) => a.string(),
+                        _ => None,
+                    };
+                    form.expansion.push(s.ok_or_else(|| c.error("bad expansion entry"))?.into_owned());
+                }
             }
             "cores" => {
-                form.cores = args
-                    .iter()
-                    .map(|d| core_from_datum_with(d, strings).map_err(malformed))
-                    .collect::<Result<_, _>>()?;
+                form.cores.clear();
+                while let Some(ev) = c.item("cores")? {
+                    form.cores.push(read_core(c, ev, strings)?);
+                }
             }
             "chunk-ids" => {
-                form.chunk_ids = args
-                    .iter()
-                    .map(|d| match d {
-                        Datum::Int(n) if *n >= 0 && *n <= u32::MAX as i64 => Ok(*n as u32),
-                        other => Err(malformed(format!("bad chunk id {other}"))),
-                    })
-                    .collect::<Result<_, _>>()?;
+                form.chunk_ids.clear();
+                while let Some(ev) = c.item("chunk-ids")? {
+                    let id = match ev {
+                        Event::Atom(a) => a.u32(),
+                        _ => None,
+                    };
+                    form.chunk_ids.push(id.ok_or_else(|| c.error("bad chunk id"))?);
+                }
             }
-            "snapshot" => form.snapshot = Some(profile_from_body(args)?),
-            other => return Err(malformed(format!("unknown form sub-entry `{other}`"))),
+            "snapshot" => form.snapshot = Some(read_profile(c, files)?),
+            other => return Err(c.error(format!("unknown form sub-entry `{other}`"))),
         }
     }
     Ok(form)
 }
 
-/// Parses a session file.
+/// Parses a session file in one walk.
 ///
 /// # Errors
 ///
@@ -392,64 +447,83 @@ fn form_from(args: &[Datum], strings: &[Symbol]) -> Result<StoredForm, ProfileSt
 /// [`ProfileStoreError::UnsupportedVersion`] for a version other than 1.
 /// Never panics on hostile input.
 pub(crate) fn parse_session(text: &str) -> Result<StoredSession, ProfileStoreError> {
-    // `read_datums` skips syntax-object construction: session files are
-    // machine-written, source attribution would be meaningless, and this
-    // parse is the warm-start critical path.
-    let forms = read_datums(text, "<session>")
-        .map_err(|e| malformed(format!("unreadable: {e}")))?;
-    let [datum]: [Datum; 1] = forms
-        .try_into()
-        .map_err(|_| malformed("expected exactly one top-level form"))?;
-    let elems = datum
-        .list_elems()
-        .ok_or_else(|| malformed("top-level form must be a list"))?;
-    let [head, entries @ ..] = elems.as_slice() else {
-        return Err(malformed("empty session file"));
-    };
-    match head {
-        Datum::Sym(s) if s.as_str() == "pgmp-session" => {}
-        other => return Err(malformed(format!("unexpected header `{other}`"))),
+    const FILE: &str = "<session>";
+    let mut c = Cursor::new(text, FILE);
+    match c.next()? {
+        Some(Event::Open) => {}
+        _ => return Err(malformed("expected one top-level session list")),
     }
+    if c.sym("pgmp-session header")? != "pgmp-session" {
+        return Err(malformed("unexpected header"));
+    }
+    let mut files = SourceInterner::default();
     let mut version: Option<i64> = None;
     let mut file = String::new();
     let mut weights = ProfileInformation::empty();
     let mut strings: Vec<Symbol> = Vec::new();
-    let mut out_forms: Vec<StoredForm> = Vec::new();
-    // Two passes: form entries reference the string table by index, and
-    // the table must be complete before any form decodes, wherever the
-    // `(strings …)` section sits in the file.
-    for pass in 0..2 {
-        for e in entries {
-            let elems = e
-                .list_elems()
-                .ok_or_else(|| malformed("session entry must be a list"))?;
-            let [Datum::Sym(tag), args @ ..] = elems.as_slice() else {
-                return Err(malformed(format!("session entry missing tag: {e}")));
-            };
-            match (pass, tag.as_str(), args) {
-                (0, "version", [Datum::Int(v)]) => {
-                    if version.replace(*v).is_some() {
-                        return Err(malformed("duplicate version entry"));
-                    }
-                }
-                (0, "file", [Datum::Str(s)]) => file = s.to_string(),
-                (0, "weights", body) => weights = profile_from_body(body)?,
-                (0, "strings", body) => {
-                    strings = body
-                        .iter()
-                        .map(|d| match d {
-                            Datum::Str(s) => Ok(Symbol::intern(s)),
-                            other => Err(malformed(format!("bad string-table entry {other}"))),
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                (0, "form", _) => {}
-                (1, "form", body) => out_forms.push(form_from(body, &strings)?),
-                (1, _, _) => {}
-                (_, other, _) => {
-                    return Err(malformed(format!("unknown session entry `{other}`")));
+    let mut forms: Vec<StoredForm> = Vec::new();
+    // Where each `(form …` starts, for the second walk below.
+    let mut form_at: Vec<u32> = Vec::new();
+    // Forms decode against the string table read so far. A table that
+    // comes after a form, or a form that fails to decode (the true table
+    // may still follow), sends every form through a second walk once the
+    // final table is known.
+    let mut rewalk = false;
+    while let Some((tag, at)) = c.entry("session")? {
+        match tag {
+            "version" => {
+                let v = c.int("version")?;
+                c.close("version")?;
+                if version.replace(v).is_some() {
+                    return Err(malformed("duplicate version entry"));
                 }
             }
+            "file" => {
+                file = c.string("file name")?.into_owned();
+                c.close("file")?;
+            }
+            "weights" => weights = read_profile(&mut c, &mut files)?,
+            "strings" => {
+                strings.clear();
+                while let Some(ev) = c.item("strings")? {
+                    let s = match ev {
+                        Event::Atom(a) => a.string(),
+                        _ => None,
+                    };
+                    strings.push(Symbol::intern(&s.ok_or_else(|| c.error("bad string-table entry"))?));
+                }
+                rewalk |= !form_at.is_empty();
+            }
+            "form" => {
+                form_at.push(at);
+                let depth = c.depth() - 1;
+                if rewalk {
+                    c.skip_to(depth)?;
+                } else {
+                    match read_form(&mut c, &strings, &mut files) {
+                        Ok(f) => forms.push(f),
+                        Err(_) => {
+                            rewalk = true;
+                            c.skip_to(depth)?;
+                        }
+                    }
+                }
+            }
+            other => return Err(malformed(format!("unknown session entry `{other}`"))),
+        }
+    }
+    if c.next()?.is_some() {
+        return Err(malformed("expected exactly one top-level form"));
+    }
+    if rewalk {
+        forms.clear();
+        for at in form_at {
+            let mut c = Cursor::at(text, FILE, at);
+            let form = c
+                .open("form")
+                .and_then(|()| c.sym("form tag"))
+                .and_then(|_| read_form(&mut c, &strings, &mut files));
+            forms.push(form?);
         }
     }
     match version {
@@ -460,6 +534,58 @@ pub(crate) fn parse_session(text: &str) -> Result<StoredSession, ProfileStoreErr
     Ok(StoredSession {
         file,
         weights,
-        forms: out_forms,
+        forms,
     })
+}
+
+#[cfg(test)]
+mod reference;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const HEAD: &str = "(pgmp-session (version 1) (file \"p.scm\") (strings \"p.scm\" \"f\")";
+
+    fn session(body: &str) -> Result<StoredSession, ProfileStoreError> {
+        parse_session(&format!("{HEAD} {body})"))
+    }
+
+    #[test]
+    fn positions_outside_u32_are_malformed_not_wrapped() {
+        let form = |sub: &str| format!("(form 0 \"00000000000000ff\" {sub})");
+        for body in [
+            "(weights (datasets 1) (point \"p.scm\" 4294967297 4294967300 0.5))".to_owned(),
+            form("(reads (point \"p.scm\" 1 4294967296 0.5))"),
+            form("(snapshot (datasets 1) (point \"p.scm\" 4294967297 2 0.5))"),
+            form("(cores (gref (0 4294967297 4294967300) 1))"),
+            form("(cores (lambda #f 0 #f #f (0 1 4294967296) (const #f 1)))"),
+        ] {
+            assert!(
+                matches!(session(&body), Err(ProfileStoreError::Malformed(_))),
+                "{body}"
+            );
+        }
+        let ok = session(&form("(cores (gref (0 4294967295 4294967295) 1))")).unwrap();
+        assert_eq!(ok.forms[0].cores[0].src, Some(SourceObject::new("p.scm", u32::MAX, u32::MAX)));
+    }
+
+    #[test]
+    fn a_string_table_after_the_forms_still_resolves_them() {
+        let text = "(pgmp-session (version 1) (form 0 \"01\" (cores (gref (0 1 2) 1))) \
+                    (strings \"p.scm\" \"f\"))";
+        let s = parse_session(text).unwrap();
+        assert_eq!(s.forms[0].cores[0].kind, pgmp_eval::CoreKind::GlobalRef(Symbol::intern("f")));
+        // An index past the final table is an error all the same.
+        let bad = text.replace("(gref (0 1 2) 1)", "(gref (0 1 2) 2)");
+        assert!(matches!(parse_session(&bad), Err(ProfileStoreError::Malformed(_))));
+    }
+
+    #[test]
+    fn errors_name_the_byte_offset() {
+        let Err(ProfileStoreError::Malformed(m)) = session("(form 0 \"01\" (chunk-ids -3))") else {
+            panic!("negative chunk id accepted");
+        };
+        assert!(m.contains(&format!(":{})", HEAD.len() + 25)), "{m}");
+    }
 }

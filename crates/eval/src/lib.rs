@@ -27,9 +27,7 @@ mod serialize;
 mod value;
 
 pub use core_expr::{resolve_profile_slots, Core, CoreKind, LambdaDef};
-pub use serialize::{
-    core_from_datum, core_from_datum_with, core_to_datum, core_to_datum_with, StringTable,
-};
+pub use serialize::{read_core, write_core, StringTable};
 pub use env::Frame;
 pub use error::{EvalError, EvalErrorKind};
 pub use interp::Interp;

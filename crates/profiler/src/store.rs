@@ -3,7 +3,9 @@
 //! As in the Chez implementation (§4.1), what is stored is not raw counts
 //! but the computed **profile weights**, so stored files from different runs
 //! can be merged directly. The on-disk format is a single s-expression,
-//! parsed back with the system's own reader. Two format versions exist —
+//! decoded in one pass over a [`pgmp_reader::Cursor`] (the system
+//! reader's lexical rules and grammar, no datum tree). Two format versions
+//! exist —
 //! see `docs/PROFILE_FORMAT.md` at the repository root for the normative
 //! spec, merge semantics (§3.2), and compatibility rules.
 //!
@@ -39,8 +41,8 @@
 use crate::info::ProfileInformation;
 use crate::slots::SlotMap;
 use pgmp_observe as observe;
-use pgmp_reader::read_datums;
-use pgmp_syntax::{Datum, SourceObject};
+use pgmp_reader::{Atom, Cursor, Event, ReadError};
+use pgmp_syntax::{Datum, SourceInterner, SourceObject, StrLit};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -92,6 +94,13 @@ impl std::error::Error for ProfileStoreError {
 impl From<std::io::Error> for ProfileStoreError {
     fn from(e: std::io::Error) -> ProfileStoreError {
         ProfileStoreError::Io(e)
+    }
+}
+
+/// A syntax or shape error a store decoder met, with its byte offset.
+impl From<ReadError> for ProfileStoreError {
+    fn from(e: ReadError) -> ProfileStoreError {
+        ProfileStoreError::Malformed(e.to_string())
     }
 }
 
@@ -266,7 +275,7 @@ impl StoredProfile {
                     out,
                     "  (slot {} {} {} {}",
                     i,
-                    Datum::string(p.file.as_str()),
+                    StrLit(p.file.as_str()),
                     p.bfp,
                     p.efp
                 );
@@ -292,7 +301,7 @@ impl StoredProfile {
             let _ = write!(
                 out,
                 "  (point {} {} {} {}",
-                Datum::string(p.file.as_str()),
+                StrLit(p.file.as_str()),
                 p.bfp,
                 p.efp,
                 Datum::Float(w)
@@ -306,131 +315,116 @@ impl StoredProfile {
         out
     }
 
-    /// Parses either format version, sniffing `(version n)`.
+    /// Parses either format version, sniffing `(version n)`, in one pass
+    /// over a [`Cursor`]: no datum tree, and file names are interned once
+    /// per run of equal names.
     ///
     /// # Errors
     ///
-    /// [`ProfileStoreError::Malformed`] for unparseable text,
+    /// [`ProfileStoreError::Malformed`] for unparseable text and for file
+    /// positions outside `[0, 2^32)`,
     /// [`ProfileStoreError::UnsupportedVersion`] for versions other than 1
     /// and 2, and [`ProfileStoreError::SlotTable`] for v2 files whose slot
     /// section is not a dense bijection. Never panics on hostile input.
     pub fn load_from_str(text: &str) -> Result<StoredProfile, ProfileStoreError> {
-        // Profile files are machine-written: parse straight to datums
-        // (`read_datums`) instead of building source-attributed syntax
-        // objects nobody will query.
-        let forms = read_datums(text, "<profile>")
-            .map_err(|e| malformed(format!("unreadable: {e}")))?;
-        let [form]: [Datum; 1] = forms
-            .try_into()
-            .map_err(|_| malformed("expected exactly one top-level form"))?;
-        let elems = form
-            .list_elems()
-            .ok_or_else(|| malformed("top-level form must be a list"))?;
-        let mut iter = elems.into_iter();
-        let head = match iter.next() {
-            Some(Datum::Sym(s)) => s,
-            _ => return Err(malformed("missing pgmp-profile header")),
-        };
-        if head.as_str() != "pgmp-profile" {
-            return Err(malformed(format!("unexpected header `{head}`")));
+        let mut c = Cursor::new(text, "<profile>");
+        match c.next()? {
+            Some(Event::Open) => {}
+            Some(_) => return Err(malformed("top-level form must be a list")),
+            None => return Err(malformed("expected exactly one top-level form")),
         }
-        // First pass: flatten entries, resolve the declared version.
-        let mut entries: Vec<(String, Vec<Datum>)> = Vec::new();
+        match c.next()? {
+            Some(Event::Atom(a)) => match a.sym() {
+                Some("pgmp-profile") => {}
+                Some(other) => return Err(malformed(format!("unexpected header `{other}`"))),
+                None => return Err(malformed("missing pgmp-profile header")),
+            },
+            _ => return Err(malformed("missing pgmp-profile header")),
+        }
+        let mut files = SourceInterner::default();
+        let mut vals: Vec<Val> = Vec::new();
+        let mut entries: Vec<Entry> = Vec::new();
         let mut version: Option<i64> = None;
-        for entry in iter {
-            let mut fields = entry
-                .list_elems()
-                .ok_or_else(|| malformed("profile entry must be a list"))?;
-            if fields.is_empty() {
-                return Err(malformed("profile entry missing tag"));
+        while let Some(ev) = c.next()? {
+            match ev {
+                Event::Close => break,
+                Event::Open => {}
+                Event::Dot => return Err(malformed("top-level form must be a list")),
+                _ => return Err(malformed("profile entry must be a list")),
             }
-            let tag = match fields.remove(0) {
-                Datum::Sym(s) => s,
-                _ => return Err(malformed("profile entry missing tag")),
-            };
-            let args: Vec<Datum> = fields;
-            if tag.as_str() == "version" {
-                match args.as_slice() {
-                    [Datum::Int(v)] => {
-                        if version.replace(*v).is_some() {
-                            return Err(malformed("duplicate version entry"));
-                        }
-                    }
-                    _ => return Err(malformed("malformed version entry")),
+            let tag = match c.next()? {
+                Some(Event::Atom(a)) => a.sym(),
+                _ => None,
+            }
+            .ok_or_else(|| malformed("profile entry missing tag"))?;
+            read_vals(&mut c, &mut vals)?;
+            if tag == "version" {
+                let v = match vals.as_slice() {
+                    [Val::Atom(a)] => a.int(),
+                    _ => None,
+                }
+                .ok_or_else(|| malformed("malformed version entry"))?;
+                if version.replace(v).is_some() {
+                    return Err(malformed("duplicate version entry"));
                 }
             } else {
-                entries.push((tag.as_str().to_string(), args));
+                entries.push(entry(tag, &vals, &mut files));
             }
         }
+        if c.next()?.is_some() {
+            return Err(malformed("expected exactly one top-level form"));
+        }
+
         let version = version.unwrap_or(1);
         if version != 1 && version != 2 {
             return Err(ProfileStoreError::UnsupportedVersion(version));
         }
+        let v2 = version == 2;
         let mut dataset_count: usize = 1;
         let mut declared_slots: Option<usize> = None;
         let mut slot_points: Vec<SourceObject> = Vec::new();
         let mut weights: Vec<(SourceObject, f64)> = Vec::new();
         let mut provenance: Option<Provenance> = None;
         let mut confidence: HashMap<SourceObject, f64> = HashMap::new();
-        for (tag, args) in &entries {
-            match (tag.as_str(), args.as_slice()) {
-                ("datasets", [Datum::Int(n)]) if *n >= 0 => dataset_count = *n as usize,
-                ("provenance", args) if version == 2 => {
-                    let p = match args {
-                        [Datum::Sym(s)] if s.as_str() == "exact" => Provenance::Exact,
-                        [Datum::Sym(s), Datum::Int(hz)]
-                            if s.as_str() == "sampled"
-                                && (0..=u32::MAX as i64).contains(hz) =>
-                        {
-                            Provenance::Sampled { hz: *hz as u32 }
-                        }
-                        _ => return Err(malformed("malformed provenance entry")),
-                    };
+        for e in entries {
+            match e {
+                Entry::Datasets(n) => dataset_count = n,
+                Entry::Provenance(p) if v2 => {
+                    let p = p.ok_or_else(|| malformed("malformed provenance entry"))?;
                     if provenance.replace(p).is_some() {
                         return Err(malformed("duplicate provenance entry"));
                     }
                 }
-                ("point", [Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), w, rest @ ..])
-                    if rest.len() <= usize::from(version == 2) =>
-                {
-                    let (p, w) = parse_point(file, *bfp, *efp, Some(w))?;
-                    if let Some(c) = rest.first() {
-                        confidence.insert(p, parse_confidence(c)?);
+                Entry::Point { has_confidence, point } if v2 || !has_confidence => {
+                    let (p, w, c) = point?;
+                    if let Some(c) = c {
+                        confidence.insert(p, c);
                     }
-                    weights.push((p, w.expect("point weight is mandatory")));
+                    weights.push((p, w.unwrap_or_default()));
                 }
-                ("slots", [Datum::Int(n)]) if version == 2 && *n >= 0 => {
-                    if declared_slots.replace(*n as usize).is_some() {
-                        return Err(ProfileStoreError::SlotTable(
-                            "duplicate slots entry".into(),
-                        ));
+                Entry::Slots(n) if v2 => {
+                    if declared_slots.replace(n).is_some() {
+                        return Err(ProfileStoreError::SlotTable("duplicate slots entry".into()));
                     }
                 }
-                (
-                    "slot",
-                    [Datum::Int(i), Datum::Str(file), Datum::Int(bfp), Datum::Int(efp), rest @ ..],
-                ) if version == 2 && rest.len() <= 2 => {
-                    if *i != slot_points.len() as i64 {
+                Entry::Slot { index, point } if v2 => {
+                    if index != slot_points.len() as i64 {
                         return Err(ProfileStoreError::SlotTable(format!(
-                            "slot index {i} out of order (expected {})",
+                            "slot index {index} out of order (expected {})",
                             slot_points.len()
                         )));
                     }
-                    let (p, w) = parse_point(file, *bfp, *efp, rest.first())?;
+                    let (p, w, c) = point?;
                     slot_points.push(p);
-                    if let Some(c) = rest.get(1) {
-                        // A confidence sub-entry is only meaningful on a
-                        // weighted row (enforced structurally: `rest[1]`
-                        // exists only after a weight datum in `rest[0]`).
-                        confidence.insert(p, parse_confidence(c)?);
+                    if let Some(c) = c {
+                        confidence.insert(p, c);
                     }
                     if let Some(w) = w {
                         weights.push((p, w));
                     }
                 }
-                (other, _) => {
-                    return Err(malformed(format!("unknown or malformed entry `{other}`")));
-                }
+                Entry::Bad(m) => return Err(malformed(m)),
+                _ => return Err(malformed(format!("entry not valid in format version {version}"))),
             }
         }
         let slots = if slot_points.is_empty() && declared_slots.unwrap_or(0) == 0 {
@@ -479,46 +473,149 @@ impl StoredProfile {
     }
 }
 
-/// Validates a `(confidence c)` sub-entry: `c` must be a number in
-/// `(0, 1]` — a zero-confidence point is a dead point and must simply be
-/// absent, and values above 1 would let a rebase *amplify* weights.
-fn parse_confidence(d: &Datum) -> Result<f64, ProfileStoreError> {
-    let c = match d.list_elems().as_deref() {
-        Some([Datum::Sym(tag), c]) if tag.as_str() == "confidence" => match c {
-            Datum::Float(x) => *x,
-            Datum::Int(n) => *n as f64,
-            _ => return Err(malformed(format!("bad confidence {c}"))),
-        },
-        _ => return Err(malformed(format!("malformed confidence entry {d}"))),
-    };
-    if !(c > 0.0 && c <= 1.0) {
-        return Err(malformed(format!("confidence {c} outside (0,1]")));
-    }
-    Ok(c)
+/// One argument of a profile entry. Nested lists only ever mean
+/// `(confidence c)`, so that is all that is kept of them.
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    Atom(Atom<'a>),
+    /// A nested list or vector: `Some(c)` iff it is exactly
+    /// `(confidence c)` with a numeric `c`.
+    Nested(Option<f64>),
 }
 
-/// Validates one profile point's fields; `w` is the optional weight datum.
-fn parse_point(
+/// A point's fields with the version-independent checks applied.
+type Point = Result<(SourceObject, Option<f64>, Option<f64>), ProfileStoreError>;
+
+/// One entry after the checks that need neither the format version nor
+/// the entries before it. A `(version n)` entry may come last, so those
+/// checks run once the whole file has been read, in file order — which
+/// keeps the error a file reports independent of where it sits.
+enum Entry {
+    Datasets(usize),
+    /// `None` for malformed arguments (v2 only).
+    Provenance(Option<Provenance>),
+    /// A loose point; rows with a confidence are v2 only.
+    Point { has_confidence: bool, point: Point },
+    /// v2 only.
+    Slots(usize),
+    /// v2 only; the index is checked against the table so far.
+    Slot { index: i64, point: Point },
+    Bad(String),
+}
+
+
+/// Reads the rest of an entry (after its tag) into `vals`.
+fn read_vals<'a>(c: &mut Cursor<'a>, vals: &mut Vec<Val<'a>>) -> Result<(), ProfileStoreError> {
+    vals.clear();
+    let depth = c.depth();
+    loop {
+        let v = match c.next()? {
+            Some(Event::Close) => return Ok(()),
+            Some(Event::Atom(a)) => Val::Atom(a),
+            Some(Event::Open) => Val::Nested(confidence_list(c, depth)?),
+            Some(Event::VecOpen) => {
+                c.skip_to(depth)?;
+                Val::Nested(None)
+            }
+            Some(Event::Dot) | None => return Err(malformed("profile entry must be a list")),
+        };
+        vals.push(v);
+    }
+}
+
+/// Consumes a nested list (its `Open` already read), returning `Some(c)`
+/// iff it is exactly `(confidence c)` with a numeric `c`.
+fn confidence_list(c: &mut Cursor, depth: usize) -> Result<Option<f64>, ProfileStoreError> {
+    let mut found = None;
+    if let Some(Event::Atom(tag)) = c.next()? {
+        if tag.sym() == Some("confidence") {
+            if let Some(Event::Atom(v)) = c.next()? {
+                if let (Some(x), Some(Event::Close)) = (v.number(), c.next()?) {
+                    found = Some(x);
+                }
+            }
+        }
+    }
+    c.skip_to(depth)?;
+    Ok(found)
+}
+
+fn entry(tag: &str, vals: &[Val], files: &mut SourceInterner) -> Entry {
+    use Val::Atom as A;
+    let bad = || Entry::Bad(format!("unknown or malformed entry `{tag}`"));
+    match (tag, vals) {
+        ("datasets", [A(n)]) => match n.int() {
+            Some(n) if n >= 0 => Entry::Datasets(n as usize),
+            _ => bad(),
+        },
+        ("provenance", args) => Entry::Provenance(match args {
+            [A(s)] if s.sym() == Some("exact") => Some(Provenance::Exact),
+            [A(s), A(hz)] if s.sym() == Some("sampled") => {
+                hz.u32().map(|hz| Provenance::Sampled { hz })
+            }
+            _ => None,
+        }),
+        ("point", [A(file), A(bfp), A(efp), w, rest @ ..]) if rest.len() <= 1 => {
+            match (file.string(), bfp.int(), efp.int()) {
+                (Some(file), Some(bfp), Some(efp)) => Entry::Point {
+                    has_confidence: !rest.is_empty(),
+                    point: point(files, &file, bfp, efp, Some(w), rest.first()),
+                },
+                _ => bad(),
+            }
+        }
+        ("slots", [A(n)]) => match n.int() {
+            Some(n) if n >= 0 => Entry::Slots(n as usize),
+            _ => bad(),
+        },
+        ("slot", [A(i), A(file), A(bfp), A(efp), rest @ ..]) if rest.len() <= 2 => {
+            match (i.int(), file.string(), bfp.int(), efp.int()) {
+                (Some(index), Some(file), Some(bfp), Some(efp)) => Entry::Slot {
+                    index,
+                    point: point(files, &file, bfp, efp, rest.first(), rest.get(1)),
+                },
+                _ => bad(),
+            }
+        }
+        _ => bad(),
+    }
+}
+
+/// Validates one profile point's fields: the optional weight `w` must be
+/// a number in `[0, 1]`, positions must lie in `[0, 2^32)`, and a
+/// `(confidence c)` sub-entry needs `c` in `(0, 1]` — a zero-confidence
+/// point is a dead point and must simply be absent, and values above 1
+/// would let a rebase *amplify* weights.
+fn point(
+    files: &mut SourceInterner,
     file: &str,
     bfp: i64,
     efp: i64,
-    w: Option<&Datum>,
-) -> Result<(SourceObject, Option<f64>), ProfileStoreError> {
+    w: Option<&Val>,
+    confidence: Option<&Val>,
+) -> Point {
     let w = match w {
         None => None,
-        Some(Datum::Float(x)) => Some(*x),
-        Some(Datum::Int(n)) => Some(*n as f64),
-        Some(other) => return Err(malformed(format!("bad weight {other}"))),
+        Some(Val::Atom(a)) if a.number().is_some() => a.number(),
+        Some(_) => return Err(malformed("bad weight")),
     };
     if let Some(w) = w {
         if !(0.0..=1.0).contains(&w) {
             return Err(malformed(format!("weight {w} outside [0,1]")));
         }
     }
-    if bfp < 0 || efp < 0 {
-        return Err(malformed("negative file position"));
-    }
-    Ok((SourceObject::new(file, bfp as u32, efp as u32), w))
+    let (Ok(bfp), Ok(efp)) = (u32::try_from(bfp), u32::try_from(efp)) else {
+        return Err(malformed("file position outside [0, 2^32)"));
+    };
+    let c = match confidence {
+        None => None,
+        Some(Val::Nested(Some(c))) if *c > 0.0 && *c <= 1.0 => Some(*c),
+        Some(Val::Nested(Some(c))) => {
+            return Err(malformed(format!("confidence {c} outside (0,1]")))
+        }
+        Some(_) => return Err(malformed("malformed confidence entry")),
+    };
+    Ok((files.point(file, bfp, efp), w, c))
 }
 
 impl ProfileInformation {
@@ -537,7 +634,7 @@ impl ProfileInformation {
             let _ = writeln!(
                 out,
                 "  (point {} {} {} {})",
-                Datum::string(p.file.as_str()),
+                StrLit(p.file.as_str()),
                 p.bfp,
                 p.efp,
                 Datum::Float(w)
@@ -582,6 +679,9 @@ impl ProfileInformation {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::counters::Dataset;
@@ -603,6 +703,24 @@ mod tests {
         m.resolve(SourceObject::new("a.scm", 0, 5));
         m.resolve(SourceObject::new("never-run.scm", 0, 1));
         m
+    }
+
+    #[test]
+    fn positions_outside_u32_are_malformed_not_wrapped() {
+        // 2^32 + 1 once loaded as 1 (a silent `as u32` wrap).
+        for text in [
+            "(pgmp-profile (version 1) (point \"a.scm\" 4294967297 4294967300 0.5))",
+            "(pgmp-profile (version 2) (point \"a.scm\" 1 4294967296 0.5))",
+            "(pgmp-profile (version 2) (slots 1) (slot 0 \"a.scm\" 4294967297 4 0.5))",
+        ] {
+            assert!(
+                matches!(StoredProfile::load_from_str(text), Err(ProfileStoreError::Malformed(_))),
+                "{text}"
+            );
+        }
+        let max = "(pgmp-profile (version 1) (point \"a.scm\" 4294967295 4294967295 0.5))";
+        let info = ProfileInformation::load_from_str(max).unwrap();
+        assert_eq!(info.lookup(SourceObject::new("a.scm", u32::MAX, u32::MAX)), Some(0.5));
     }
 
     #[test]

@@ -98,6 +98,11 @@ impl<'src> Lexer<'src> {
         }
     }
 
+    /// Moves to byte `pos` of the input (a token boundary).
+    pub(crate) fn seek(&mut self, pos: usize) {
+        self.pos = pos.min(self.bytes.len());
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -155,9 +160,12 @@ impl<'src> Lexer<'src> {
         }
     }
 
-    fn lex_string(&mut self, start: usize) -> Result<Token, LexError> {
-        // Opening quote already consumed.
-        let mut out = String::new();
+    fn lex_string(&mut self, start: usize) -> Result<Raw<'src>, LexError> {
+        // Opening quote already consumed. Escapes are validated here and
+        // decoded on demand by `unescape`; UTF-8 continuation bytes never
+        // equal `"` or `\`, so a byte scan is exact.
+        let body = self.pos;
+        let mut escaped = false;
         loop {
             match self.bump() {
                 None => {
@@ -167,44 +175,34 @@ impl<'src> Lexer<'src> {
                     })
                 }
                 Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'0') => out.push('\0'),
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(other) => {
-                        return Err(LexError {
-                            message: format!("unknown string escape \\{}", other as char),
-                            at: (self.pos - 1) as u32,
-                        })
+                Some(b'\\') => {
+                    escaped = true;
+                    match self.bump() {
+                        Some(b'n' | b't' | b'r' | b'0' | b'"' | b'\\') => {}
+                        Some(other) => {
+                            return Err(LexError {
+                                message: format!("unknown string escape \\{}", other as char),
+                                at: (self.pos - 1) as u32,
+                            })
+                        }
+                        None => {
+                            return Err(LexError {
+                                message: "unterminated string escape".into(),
+                                at: self.pos as u32,
+                            })
+                        }
                     }
-                    None => {
-                        return Err(LexError {
-                            message: "unterminated string escape".into(),
-                            at: self.pos as u32,
-                        })
-                    }
-                },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(_) => {
-                    // Re-decode the UTF-8 character starting one byte back.
-                    let s = &self.src[self.pos - 1..];
-                    let c = s.chars().next().expect("valid utf8");
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
                 }
+                Some(_) => {}
             }
         }
-        Ok(Token {
-            kind: TokenKind::Atom(Datum::string(&out)),
-            start: start as u32,
-            end: self.pos as u32,
+        Ok(Raw::Str {
+            body: &self.src[body..self.pos - 1],
+            escaped,
         })
     }
 
-    fn lex_char(&mut self, start: usize) -> Result<Token, LexError> {
+    fn lex_char(&mut self, start: usize) -> Result<Raw<'src>, LexError> {
         // `#\` already consumed. A character literal is either a single char
         // or a name made of symbol characters.
         let rest = &self.src[self.pos..];
@@ -212,9 +210,9 @@ impl<'src> Lexer<'src> {
             message: "unterminated character literal".into(),
             at: start as u32,
         })?;
+        let name_start = self.pos;
         self.pos += first.len_utf8();
         // Collect any following symbol characters to support names.
-        let name_start = self.pos;
         if first.is_ascii_alphabetic() {
             while let Some(b) = self.peek() {
                 if is_symbol_char(b) {
@@ -224,47 +222,88 @@ impl<'src> Lexer<'src> {
                 }
             }
         }
-        let c = if self.pos > name_start {
-            let name: String =
-                std::iter::once(first).chain(self.src[name_start..self.pos].chars()).collect();
-            match name.as_str() {
-                "space" => ' ',
-                "newline" | "linefeed" => '\n',
-                "tab" => '\t',
-                "return" => '\r',
-                "nul" | "null" => '\0',
-                other => {
-                    return Err(LexError {
-                        message: format!("unknown character name #\\{other}"),
-                        at: start as u32,
-                    })
-                }
+        if self.pos == name_start + first.len_utf8() {
+            return Ok(Raw::Char(first));
+        }
+        Ok(Raw::Char(match &self.src[name_start..self.pos] {
+            "space" => ' ',
+            "newline" | "linefeed" => '\n',
+            "tab" => '\t',
+            "return" => '\r',
+            "nul" | "null" => '\0',
+            other => {
+                return Err(LexError {
+                    message: format!("unknown character name #\\{other}"),
+                    at: start as u32,
+                })
             }
-        } else {
-            first
-        };
-        Ok(Token {
-            kind: TokenKind::Atom(Datum::Char(c)),
-            start: start as u32,
-            end: self.pos as u32,
-        })
+        }))
     }
 
-    fn lex_symbol_or_number(&mut self, start: usize) -> Token {
-        while let Some(b) = self.peek() {
-            if is_symbol_char(b) {
+    /// Lexes the next token as a borrowed view of the input, returning it
+    /// with its start offset (the end is the lexer's position after it).
+    #[inline(always)]
+    pub(crate) fn next_raw(&mut self) -> Result<Option<(Raw<'src>, u32)>, LexError> {
+        self.skip_atmosphere()?;
+        let start = self.pos;
+        let Some(b) = self.peek() else {
+            return Ok(None);
+        };
+        self.pos += 1;
+        let raw = match b {
+            b'(' | b'[' => Raw::Open,
+            b')' => Raw::Close(')'),
+            b']' => Raw::Close(']'),
+            b'\'' => Raw::Prefix("quote"),
+            b'`' => Raw::Prefix("quasiquote"),
+            b',' if self.peek() == Some(b'@') => {
                 self.pos += 1;
-            } else {
-                break;
+                Raw::Prefix("unquote-splicing")
             }
-        }
-        let text = &self.src[start..self.pos];
-        let kind = parse_atom(text);
-        Token {
-            kind,
-            start: start as u32,
-            end: self.pos as u32,
-        }
+            b',' => Raw::Prefix("unquote"),
+            b'"' => self.lex_string(start)?,
+            b'#' => {
+                let next = self.peek();
+                self.pos += 1;
+                match next {
+                    Some(b'(') => Raw::VecOpen,
+                    Some(b'\'') => Raw::Prefix("syntax"),
+                    Some(b'`') => Raw::Prefix("quasisyntax"),
+                    Some(b',') if self.peek() == Some(b'@') => {
+                        self.pos += 1;
+                        Raw::Prefix("unsyntax-splicing")
+                    }
+                    Some(b',') => Raw::Prefix("unsyntax"),
+                    Some(b';') => Raw::DatumComment,
+                    Some(b'\\') => self.lex_char(start)?,
+                    Some(b't') => Raw::Bool(true),
+                    Some(b'f') => Raw::Bool(false),
+                    other => {
+                        return Err(LexError {
+                            message: format!(
+                                "unknown # syntax: #{}",
+                                other.map(|c| c as char).unwrap_or(' ')
+                            ),
+                            at: start as u32,
+                        })
+                    }
+                }
+            }
+            _ => {
+                while let Some(b) = self.peek() {
+                    if is_symbol_char(b) {
+                        self.pos += 1;
+                    } else {
+                        break;
+                    }
+                }
+                match &self.src[start..self.pos] {
+                    "." => Raw::Dot,
+                    text => Raw::Bare(text),
+                }
+            }
+        };
+        Ok(Some((raw, start as u32)))
     }
 
     /// Lexes the next token, or `None` at end of input.
@@ -274,100 +313,40 @@ impl<'src> Lexer<'src> {
     /// Returns a [`LexError`] for unterminated strings/comments, bad escapes,
     /// and unknown `#` syntax.
     pub fn next_token(&mut self) -> Result<Option<Token>, LexError> {
-        self.skip_atmosphere()?;
-        let start = self.pos;
-        let Some(b) = self.peek() else {
+        let Some((raw, start)) = self.next_raw()? else {
             return Ok(None);
         };
-        let tok = |kind: TokenKind, end: usize| Token {
-            kind,
-            start: start as u32,
-            end: end as u32,
+        let kind = match raw {
+            Raw::Open => TokenKind::LParen,
+            Raw::Close(c) => TokenKind::RParen(c),
+            Raw::VecOpen => TokenKind::VecOpen,
+            Raw::Prefix(keyword) => match keyword {
+                "quote" => TokenKind::Quote,
+                "quasiquote" => TokenKind::Quasiquote,
+                "unquote" => TokenKind::Unquote,
+                "unquote-splicing" => TokenKind::UnquoteSplicing,
+                "syntax" => TokenKind::SyntaxQuote,
+                "quasisyntax" => TokenKind::Quasisyntax,
+                "unsyntax" => TokenKind::Unsyntax,
+                _ => TokenKind::UnsyntaxSplicing,
+            },
+            Raw::Dot => TokenKind::Dot,
+            Raw::DatumComment => TokenKind::DatumComment,
+            Raw::Bool(b) => TokenKind::Atom(Datum::Bool(b)),
+            Raw::Char(c) => TokenKind::Atom(Datum::Char(c)),
+            Raw::Str { body, escaped: false } => TokenKind::Atom(Datum::string(body)),
+            Raw::Str { body, escaped: true } => TokenKind::Atom(Datum::string(&unescape(body))),
+            Raw::Bare(text) => TokenKind::Atom(match classify(text) {
+                Bare::Int(n) => Datum::Int(n),
+                Bare::Float(x) => Datum::Float(x),
+                Bare::Sym => Datum::sym(text),
+            }),
         };
-        match b {
-            b'(' | b'[' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::LParen, self.pos)))
-            }
-            b')' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::RParen(')'), self.pos)))
-            }
-            b']' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::RParen(']'), self.pos)))
-            }
-            b'\'' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::Quote, self.pos)))
-            }
-            b'`' => {
-                self.pos += 1;
-                Ok(Some(tok(TokenKind::Quasiquote, self.pos)))
-            }
-            b',' => {
-                self.pos += 1;
-                if self.peek() == Some(b'@') {
-                    self.pos += 1;
-                    Ok(Some(tok(TokenKind::UnquoteSplicing, self.pos)))
-                } else {
-                    Ok(Some(tok(TokenKind::Unquote, self.pos)))
-                }
-            }
-            b'"' => {
-                self.pos += 1;
-                self.lex_string(start).map(Some)
-            }
-            b'#' => {
-                match self.peek2() {
-                    Some(b'(') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::VecOpen, self.pos)))
-                    }
-                    Some(b'\'') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::SyntaxQuote, self.pos)))
-                    }
-                    Some(b'`') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::Quasisyntax, self.pos)))
-                    }
-                    Some(b',') => {
-                        self.pos += 2;
-                        if self.peek() == Some(b'@') {
-                            self.pos += 1;
-                            Ok(Some(tok(TokenKind::UnsyntaxSplicing, self.pos)))
-                        } else {
-                            Ok(Some(tok(TokenKind::Unsyntax, self.pos)))
-                        }
-                    }
-                    Some(b';') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::DatumComment, self.pos)))
-                    }
-                    Some(b'\\') => {
-                        self.pos += 2;
-                        self.lex_char(start).map(Some)
-                    }
-                    Some(b't') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::Atom(Datum::Bool(true)), self.pos)))
-                    }
-                    Some(b'f') => {
-                        self.pos += 2;
-                        Ok(Some(tok(TokenKind::Atom(Datum::Bool(false)), self.pos)))
-                    }
-                    other => Err(LexError {
-                        message: format!(
-                            "unknown # syntax: #{}",
-                            other.map(|c| c as char).unwrap_or(' ')
-                        ),
-                        at: start as u32,
-                    }),
-                }
-            }
-            _ => Ok(Some(self.lex_symbol_or_number(start))),
-        }
+        Ok(Some(Token {
+            kind,
+            start,
+            end: self.pos as u32,
+        }))
     }
 
     /// Lexes the whole input to a vector of tokens.
@@ -384,18 +363,74 @@ impl<'src> Lexer<'src> {
     }
 }
 
-/// Classifies bare atom text as a number, `.`, or symbol.
-fn parse_atom(text: &str) -> TokenKind {
-    if text == "." {
-        return TokenKind::Dot;
+/// A token as a borrowed view of the input. [`Lexer::next_token`] and the
+/// zero-copy [`crate::Cursor`] share it, so both follow one set of lexical
+/// rules; atoms stay unparsed spans until a caller asks what they denote.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Raw<'src> {
+    /// `(` or `[`.
+    Open,
+    /// `)` or `]`.
+    Close(char),
+    /// `#(`.
+    VecOpen,
+    /// A quotation prefix (`'`, `` ` ``, `,`, `,@` and their `#`
+    /// forms), carrying the keyword its datum is wrapped in.
+    Prefix(&'static str),
+    /// A lone `.`.
+    Dot,
+    /// `#;`.
+    DatumComment,
+    /// `#t` / `#f`.
+    Bool(bool),
+    /// `#\…`.
+    Char(char),
+    /// A string literal's text between its quotes, escapes undecoded;
+    /// `escaped` is true iff it holds a backslash.
+    Str { body: &'src str, escaped: bool },
+    /// A symbol or number, as written.
+    Bare(&'src str),
+}
+
+/// Decodes the escapes of a string body the lexer has validated.
+pub(crate) fn unescape(body: &str) -> String {
+    let mut out = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('t') => out.push('\t'),
+            Some('r') => out.push('\r'),
+            Some('0') => out.push('\0'),
+            Some(other) => out.push(other),
+            None => {}
+        }
     }
+    out
+}
+
+/// What bare atom text (anything but a lone `.`) denotes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Bare {
+    Int(i64),
+    Float(f64),
+    Sym,
+}
+
+/// Classifies bare atom text as an exact integer, an inexact real, or a
+/// symbol.
+pub(crate) fn classify(text: &str) -> Bare {
     if let Ok(n) = text.parse::<i64>() {
-        return TokenKind::Atom(Datum::Int(n));
+        return Bare::Int(n);
     }
     match text {
-        "+inf.0" => return TokenKind::Atom(Datum::Float(f64::INFINITY)),
-        "-inf.0" => return TokenKind::Atom(Datum::Float(f64::NEG_INFINITY)),
-        "+nan.0" => return TokenKind::Atom(Datum::Float(f64::NAN)),
+        "+inf.0" => return Bare::Float(f64::INFINITY),
+        "-inf.0" => return Bare::Float(f64::NEG_INFINITY),
+        "+nan.0" => return Bare::Float(f64::NAN),
         _ => {}
     }
     // Only treat as a float when it looks like a number, so symbols like
@@ -408,10 +443,10 @@ fn parse_atom(text: &str) -> TokenKind {
         .is_some_and(|c| c.is_ascii_digit() || c == '.');
     if looks_numeric {
         if let Ok(x) = text.parse::<f64>() {
-            return TokenKind::Atom(Datum::Float(x));
+            return Bare::Float(x);
         }
     }
-    TokenKind::Atom(Datum::sym(text))
+    Bare::Sym
 }
 
 #[cfg(test)]

@@ -23,8 +23,10 @@
 //! # Ok::<(), pgmp_reader::ReadError>(())
 //! ```
 
+mod cursor;
 mod lexer;
 mod reader;
 
+pub use cursor::{Atom, Cursor, Event};
 pub use lexer::{LexError, Lexer, Token, TokenKind};
 pub use reader::{read_datums, read_str, ReadError, Reader};

@@ -265,10 +265,11 @@ pub fn read_str(src: &str, file: &str) -> Result<Vec<Rc<Syntax>>, ReadError> {
 /// syntax-object construction entirely: no per-node [`SourceObject`], no
 /// `Rc<Syntax>` allocation, no second `to_datum` pass.
 ///
-/// Use this for machine-written s-expression files — stored profiles,
-/// persisted sessions, epoch snapshots — where source attribution is
-/// meaningless and parse latency is on the process-start path. For program
-/// source, use [`read_str`]: profile points *are* source objects there.
+/// This builds the generic tree. Store files (profiles, sessions, epoch
+/// snapshots) decode with [`crate::Cursor`] instead, which walks the same
+/// grammar without building one; this function is the reference its
+/// tests compare against. For program source, use [`read_str`]: profile
+/// points *are* source objects there.
 ///
 /// # Errors
 ///

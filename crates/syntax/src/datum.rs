@@ -145,18 +145,42 @@ fn write_char(c: char, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     }
 }
 
+/// Displays a string as the literal [`Datum::Str`] prints, without
+/// building the datum: what writers of s-expression files use.
+///
+/// ```
+/// use pgmp_syntax::{Datum, StrLit};
+/// let s = "a \"quoted\"\nname";
+/// assert_eq!(StrLit(s).to_string(), Datum::string(s).to_string());
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct StrLit<'a>(pub &'a str);
+
+impl fmt::Display for StrLit<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_string(self.0, f)
+    }
+}
+
 fn write_string(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c => write!(f, "{c}")?,
-        }
+    // Unescaped runs go out as slices; every escaped character is ASCII,
+    // so the byte positions are char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        f.write_str(escape)?;
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 

@@ -32,8 +32,8 @@ mod mark;
 mod source;
 mod syntax;
 
-pub use datum::Datum;
+pub use datum::{Datum, StrLit};
 pub use intern::Symbol;
 pub use mark::{Mark, MarkSet};
-pub use source::{SourceFactory, SourceObject};
+pub use source::{SourceFactory, SourceInterner, SourceObject};
 pub use syntax::{Syntax, SyntaxBody};

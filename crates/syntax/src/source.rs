@@ -37,6 +37,35 @@ pub struct SourceObject {
     pub efp: u32,
 }
 
+/// Builds [`SourceObject`]s for a decoder that reads file names as text:
+/// store files name a handful of files in long runs, so each run of equal
+/// names is interned once.
+///
+/// ```
+/// use pgmp_syntax::{SourceInterner, SourceObject};
+/// let mut files = SourceInterner::default();
+/// assert_eq!(files.point("a.scm", 1, 4), SourceObject::new("a.scm", 1, 4));
+/// ```
+#[derive(Debug, Default)]
+pub struct SourceInterner {
+    last: Option<(String, Symbol)>,
+}
+
+impl SourceInterner {
+    /// The source object `file:bfp-efp`.
+    pub fn point(&mut self, file: &str, bfp: u32, efp: u32) -> SourceObject {
+        let file = match &self.last {
+            Some((name, sym)) if name == file => *sym,
+            _ => {
+                let sym = Symbol::intern(file);
+                self.last = Some((file.to_owned(), sym));
+                sym
+            }
+        };
+        SourceObject { file, bfp, efp }
+    }
+}
+
 impl SourceObject {
     /// Creates a source object covering `bfp..efp` in `file`.
     pub fn new(file: &str, bfp: u32, efp: u32) -> SourceObject {

@@ -103,7 +103,7 @@ proptest! {
             let unit = incr.compile(&w).unwrap();
             let (expansion, cfgs) = scratch_compile(&src, file, &w);
             prop_assert_eq!(&unit.expansion, &expansion, "expansion diverged");
-            prop_assert_eq!(&unit.cfgs, &cfgs, "compiled CFGs diverged");
+            prop_assert_eq!(&unit.cfgs(), &cfgs, "compiled CFGs diverged");
             prop_assert_eq!(
                 unit.stats.reused + unit.stats.reexpanded,
                 unit.stats.total_forms
