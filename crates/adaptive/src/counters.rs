@@ -1,7 +1,7 @@
 //! `ShardedCounters`: the concurrent counterpart of `pgmp_profiler::Counters`.
 
 use pgmp_profiler::{Dataset, SlotMap};
-use pgmp_rt::{AtomicSlotArray, CoalescingWriter, FlushStats, FlushStatsSnapshot};
+use pgmp_rt::AtomicSlotArray;
 use pgmp_syntax::SourceObject;
 use std::sync::{Arc, RwLock};
 
@@ -10,9 +10,7 @@ struct Inner {
     /// known point), write-locked only the first time a point is seen.
     slots: RwLock<SlotMap>,
     /// Dense slot → count storage; bumps are lock-free relaxed atomics.
-    counts: Arc<AtomicSlotArray>,
-    /// Shared flush statistics of every [`CountersWriter`] handed out.
-    stats: Arc<FlushStats>,
+    counts: AtomicSlotArray,
 }
 
 /// A `Send + Sync` live counter registry for concurrent profile collection.
@@ -21,24 +19,19 @@ struct Inner {
 /// engine bumps during an instrumented run, `ShardedCounters` is the shared
 /// sink many threads feed at once: worker threads either bump points
 /// directly ([`ShardedCounters::increment`]) or run their own instrumented
-/// engine and [`absorb`](ShardedCounters::absorb) its dataset, while an
-/// aggregator periodically [`drain`](ShardedCounters::drain)s the whole
-/// registry into an epoch [`Dataset`].
+/// engine and [`absorb`](ShardedCounters::absorb) its dataset, while each
+/// adaptive epoch ([`crate::AdaptiveEngine::tick`])
+/// [`drain`](ShardedCounters::drain)s the whole registry into an epoch
+/// [`Dataset`].
 ///
 /// Internally this is the concurrent twin of the profiler's dense
 /// representation: points are interned once into a [`SlotMap`] (read lock
 /// on re-resolution, write lock only for a never-seen point) and counts
 /// live in a [`pgmp_rt::AtomicSlotArray`], so a hit on a known slot is a
-/// single relaxed fetch-add — no lock, no hashing. (The type once wrapped
-/// a lock-striped hash registry, where every bump hashed the key and took
-/// a stripe's read lock; the name survives the representation change, and
-/// so does the whole API.)
+/// single relaxed fetch-add — no lock, no hashing.
 ///
 /// Handles are cheaply cloneable and share state, mirroring the `Counters`
-/// API. For write-heavy workers, [`ShardedCounters::writer`] hands out a
-/// thread-local coalescing buffer that batches bumps and flushes them at
-/// the latest when dropped — the adaptive engine's epoch-boundary flush
-/// protocol.
+/// API.
 ///
 /// # Example
 ///
@@ -77,16 +70,9 @@ impl ShardedCounters {
         ShardedCounters {
             inner: Arc::new(Inner {
                 slots: RwLock::new(SlotMap::new()),
-                counts: Arc::new(AtomicSlotArray::new()),
-                stats: Arc::new(FlushStats::default()),
+                counts: AtomicSlotArray::new(),
             }),
         }
-    }
-
-    /// Compatibility constructor from the lock-striped era; the dense
-    /// registry has no stripes, so this is [`ShardedCounters::new`].
-    pub fn with_shards(_shards: usize) -> ShardedCounters {
-        ShardedCounters::new()
     }
 
     fn slots(&self) -> std::sync::RwLockReadGuard<'_, SlotMap> {
@@ -178,29 +164,6 @@ impl ShardedCounters {
         }
     }
 
-    /// A thread-local coalescing writer over this registry, flushing
-    /// automatically at `capacity` distinct buffered points and on drop.
-    /// Buffered hits are invisible to [`snapshot`](ShardedCounters::snapshot)
-    /// and [`drain`](ShardedCounters::drain) until flushed; the flush
-    /// protocol is that writers live no longer than one epoch's collection
-    /// unit (drop flushes), so the next drain sees everything.
-    pub fn writer(&self, capacity: usize) -> CountersWriter {
-        CountersWriter {
-            registry: self.clone(),
-            writer: CoalescingWriter::new(
-                self.inner.counts.clone(),
-                self.inner.stats.clone(),
-                capacity,
-            ),
-        }
-    }
-
-    /// Cumulative flush statistics of every writer handed out by
-    /// [`ShardedCounters::writer`].
-    pub fn flush_stats(&self) -> FlushStatsSnapshot {
-        self.inner.stats.snapshot()
-    }
-
     /// Copies the current counts into a [`Dataset`], reusing the existing
     /// weight/merge pipeline unchanged. Zero counts are skipped, so this
     /// and a single-threaded [`pgmp_profiler::Counters`] fed the same hits
@@ -238,43 +201,6 @@ impl std::fmt::Debug for ShardedCounters {
             .field("points", &self.len())
             .field("slots", &self.resolved_slots())
             .finish()
-    }
-}
-
-/// A thread-local write-coalescing handle over a [`ShardedCounters`]:
-/// resolves points to slots through the shared registry, buffers counts in
-/// a private [`CoalescingWriter`], and flushes at capacity and on drop.
-///
-/// Not `Clone` and not shareable — each worker thread owns its writer, so
-/// buffering needs no synchronization at all.
-#[derive(Debug)]
-pub struct CountersWriter {
-    registry: ShardedCounters,
-    writer: CoalescingWriter,
-}
-
-impl CountersWriter {
-    /// Buffers one hit on `p`.
-    #[inline]
-    pub fn increment(&mut self, p: SourceObject) {
-        self.add(p, 1);
-    }
-
-    /// Buffers `n` hits on `p`, flushing if the buffer is full.
-    #[inline]
-    pub fn add(&mut self, p: SourceObject, n: u64) {
-        let slot = self.registry.resolve(p);
-        self.writer.add(slot, n);
-    }
-
-    /// Pushes every buffered count to the shared registry.
-    pub fn flush(&mut self) {
-        self.writer.flush();
-    }
-
-    /// Distinct points currently buffered.
-    pub fn pending_slots(&self) -> usize {
-        self.writer.pending_slots()
     }
 }
 
@@ -369,27 +295,5 @@ mod tests {
         // Zero-count entries are not materialized.
         assert_eq!(c.count(p(1)), 0);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn writer_buffers_then_flushes_into_the_shared_registry() {
-        let c = ShardedCounters::new();
-        {
-            let mut w = c.writer(8);
-            w.increment(p(0));
-            w.add(p(0), 2);
-            w.increment(p(1));
-            assert_eq!(c.count(p(0)), 0, "buffered hits are invisible");
-            assert_eq!(w.pending_slots(), 2);
-            w.flush();
-            assert_eq!(c.count(p(0)), 3);
-            w.increment(p(2));
-            // drop flushes the rest
-        }
-        assert_eq!(c.count(p(2)), 1);
-        let stats = c.flush_stats();
-        assert_eq!(stats.flushes, 2);
-        assert_eq!(stats.flushed_slots, 3);
-        assert_eq!(stats.buffered_hits, 5);
     }
 }

@@ -91,6 +91,10 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// A detector with an empty baseline (any nonempty profile reads as
     /// full drift under [`DriftMetric::TotalVariation`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is negative or NaN.
     pub fn new(metric: DriftMetric, threshold: f64) -> DriftDetector {
         assert!(threshold >= 0.0, "threshold must be nonnegative");
         DriftDetector {
@@ -138,7 +142,8 @@ impl DriftDetector {
 /// A workload hovering *at* the threshold makes the raw detector fire on
 /// every noise spike, and each firing is a full re-optimization plus a
 /// program swap. Hysteresis demands sustained drift; the cooldown bounds
-/// the re-optimization rate even when drift genuinely persists.
+/// the re-optimization rate even when drift genuinely persists. This is
+/// the drift policy [`crate::AdaptiveEngine`] runs every epoch.
 ///
 /// # Example
 ///
@@ -160,20 +165,24 @@ impl DriftDetector {
 pub struct HysteresisDetector {
     inner: DriftDetector,
     consecutive: u32,
-    cooldown: u64,
+    cooldown: u32,
     streak: u32,
-    cooldown_left: u64,
+    cooldown_left: u32,
 }
 
 impl HysteresisDetector {
     /// A damped detector: `consecutive` over-threshold epochs arm it
     /// (values ≤ 1 behave like the raw detector), `cooldown` observations
     /// are skipped after each firing (0 disables the cooldown).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is negative or NaN (see [`DriftDetector::new`]).
     pub fn new(
         metric: DriftMetric,
         threshold: f64,
         consecutive: u32,
-        cooldown: u64,
+        cooldown: u32,
     ) -> HysteresisDetector {
         HysteresisDetector {
             inner: DriftDetector::new(metric, threshold),
@@ -189,10 +198,35 @@ impl HysteresisDetector {
         self.inner.baseline()
     }
 
+    /// The undamped detector: one reading against the same baseline and
+    /// threshold, with no effect on the streak or the cooldown.
+    pub fn undamped(&self) -> &DriftDetector {
+        &self.inner
+    }
+
+    /// Consecutive over-threshold observations so far.
+    pub fn streak(&self) -> u32 {
+        self.streak
+    }
+
+    /// Observations still to be skipped before detection resumes.
+    pub fn cooldown_left(&self) -> u32 {
+        self.cooldown_left
+    }
+
     /// Measures drift of `current` from the baseline; `fired` is set only
     /// when the raw threshold has been exceeded for the configured number
     /// of consecutive observations and no cooldown is pending.
     pub fn observe(&mut self, current: &ProfileInformation) -> DriftReading {
+        self.observe_epoch(current, false)
+    }
+
+    /// [`observe`](Self::observe) for one epoch of traffic. An `idle`
+    /// epoch (one that counted no hits) is measured but cannot arm the
+    /// detector: an idle system decaying toward an empty profile is not
+    /// behavior change worth recompiling for, so it resets the streak
+    /// like an under-threshold reading.
+    pub fn observe_epoch(&mut self, current: &ProfileInformation, idle: bool) -> DriftReading {
         let raw = self.inner.observe(current);
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
@@ -201,7 +235,7 @@ impl HysteresisDetector {
                 fired: false,
             };
         }
-        if raw.fired {
+        if raw.fired && !idle {
             self.streak += 1;
         } else {
             self.streak = 0;
@@ -219,12 +253,22 @@ impl HysteresisDetector {
         self.streak = 0;
         self.cooldown_left = self.cooldown;
     }
+
+    /// Replaces the baseline and clears the streak and the cooldown, for
+    /// resuming saved state: no code was just swapped in, so nothing is
+    /// cooling down.
+    pub fn restore(&mut self, baseline: ProfileInformation) {
+        self.inner.rebase(baseline);
+        self.streak = 0;
+        self.cooldown_left = 0;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pgmp_profiler::Dataset;
+    use proptest::prelude::*;
 
     fn p(n: u32) -> SourceObject {
         SourceObject::new("drift.scm", n, n + 1)
@@ -375,5 +419,88 @@ mod tests {
         // Rebasing onto the new behavior silences the detector.
         det.rebase(wild.clone());
         assert!(!det.observe(&wild).fired);
+    }
+
+    /// The damping rule the adaptive engine ran inline before it used
+    /// [`HysteresisDetector`]: per epoch, `over` is "drift past the
+    /// threshold and at least one hit"; a re-optimization zeroes the streak
+    /// and starts the cooldown; a snapshot restore zeroes both.
+    #[derive(Debug, Default)]
+    struct InlineRule {
+        hysteresis: u32,
+        cooldown_epochs: u32,
+        streak: u32,
+        cooldown_left: u32,
+    }
+
+    impl InlineRule {
+        fn epoch(&mut self, over_threshold: bool, hits: u64) -> bool {
+            let over = over_threshold && hits >= 1;
+            if self.cooldown_left > 0 {
+                self.cooldown_left -= 1;
+                false
+            } else {
+                if over {
+                    self.streak += 1;
+                } else {
+                    self.streak = 0;
+                }
+                self.streak >= self.hysteresis.max(1)
+            }
+        }
+
+        fn reoptimized(&mut self) {
+            self.streak = 0;
+            self.cooldown_left = self.cooldown_epochs;
+        }
+
+        fn restored(&mut self) {
+            self.streak = 0;
+            self.cooldown_left = 0;
+        }
+    }
+
+    proptest! {
+        /// The detector and the inline rule agree on every firing, streak
+        /// and cooldown over random epoch sequences: readings over or under
+        /// the threshold, idle or active, followed by a rebase (only ever
+        /// after a firing, as the engine does), a restore, or nothing.
+        #[test]
+        fn detector_matches_the_inline_epoch_rule(
+            hysteresis in 0u32..4,
+            cooldown in 0u32..4,
+            epochs in proptest::collection::vec((any::<bool>(), 0u64..3, 0u8..4), 0..48),
+        ) {
+            let baseline = info(&[(0, 90), (1, 10)]);
+            let shifted = info(&[(0, 10), (1, 90)]);
+            let mut det = HysteresisDetector::new(DriftMetric::TotalVariation, 0.3, hysteresis, cooldown);
+            det.restore(baseline.clone());
+            let mut model = InlineRule {
+                hysteresis,
+                cooldown_epochs: cooldown,
+                ..InlineRule::default()
+            };
+            for (over, hits, after) in epochs {
+                let current = if over { &shifted } else { &baseline };
+                let fired = det.observe_epoch(current, hits == 0).fired;
+                prop_assert_eq!(fired, model.epoch(over, hits));
+                prop_assert_eq!(det.streak(), model.streak);
+                prop_assert_eq!(det.cooldown_left(), model.cooldown_left);
+                match after {
+                    // A firing the engine re-optimized on.
+                    0 | 1 if fired => {
+                        det.rebase(baseline.clone());
+                        model.reoptimized();
+                    }
+                    2 => {
+                        det.restore(baseline.clone());
+                        model.restored();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(det.streak(), model.streak);
+                prop_assert_eq!(det.cooldown_left(), model.cooldown_left);
+            }
+        }
     }
 }

@@ -1,42 +1,31 @@
 //! The adaptive driver: epochs → drift → re-optimization, continuously.
 
 use crate::counters::ShardedCounters;
-use crate::drift::{drift, DriftMetric};
+use crate::drift::{DriftMetric, HysteresisDetector};
 use crate::rolling::RollingProfile;
-use pgmp::{Engine, Error, IncrementalConfig, IncrementalEngine};
+use pgmp::{ConfigError, Engine, Error, IncrementalConfig, IncrementalEngine};
 use pgmp_bytecode::{
-    canonical_form, compile_chunk, optimize_layout, BlockCounters, Chunk, DispatchMode,
-    FusionPlan, Vm, VmMetrics,
+    optimize_layout, BlockCounters, Chunk, DispatchMode, FusionPlan, Vm, VmMetrics,
 };
 use pgmp_eval::{EvalError, EvalErrorKind};
 use pgmp_observe as observe;
 use pgmp_profiler::{ProfileInformation, ProfileMode};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock};
+
+/// Distance measure the engine's drift detector uses: scale-free, so one
+/// threshold works across programs of any size.
+const METRIC: DriftMetric = DriftMetric::TotalVariation;
 
 /// Tuning knobs for the adaptive loop.
 #[derive(Clone, Debug)]
 pub struct AdaptiveConfig {
-    /// Wall-clock pacing of the background aggregator (ignored by
-    /// synchronous [`AdaptiveEngine::tick`], which the caller paces).
-    pub epoch: Duration,
     /// Per-epoch exponential decay of the rolling profile, in `[0, 1]`:
     /// `1.0` never forgets, `0.0` keeps only the latest epoch.
     pub decay: f64,
-    /// Drift value above which re-optimization triggers.
+    /// Total-variation drift above which re-optimization triggers;
+    /// nonnegative.
     pub drift_threshold: f64,
-    /// Distance measure for drift.
-    pub metric: DriftMetric,
-    /// Epochs that drained fewer total hits than this cannot fire the
-    /// detector — an idle system decaying toward an empty profile is not
-    /// behavior change worth recompiling for.
-    pub min_epoch_hits: u64,
-    /// Re-optimize through the per-form incremental cache
-    /// ([`pgmp::IncrementalEngine`]): only forms whose consulted weights
-    /// changed re-expand. Disable to recompile from scratch each time
-    /// (useful as a baseline; the adaptive loop is otherwise identical).
-    pub incremental: bool,
     /// Per-point weight drift the incremental cache tolerates before
     /// re-expanding a form (see [`pgmp::IncrementalConfig::epsilon`]).
     pub epsilon: f64,
@@ -46,30 +35,39 @@ pub struct AdaptiveConfig {
     pub hysteresis_epochs: u32,
     /// Epochs to skip drift detection after a re-optimization, bounding
     /// the recompile rate under sustained drift. `0` disables.
-    pub cooldown_epochs: u64,
-    /// Write-coalescing buffer capacity (distinct points) for worker-side
-    /// counter merges: `0` (the default) writes straight to the shared
-    /// registry; `n > 0` batches through a [`crate::CountersWriter`] that
-    /// flushes at `n` distinct buffered points and, at the latest, when
-    /// the collection unit ends — so every hit is visible to the next
-    /// epoch drain. Flush statistics via [`AdaptiveHandle::flush_stats`].
-    pub coalesce: usize,
+    pub cooldown_epochs: u32,
 }
 
 impl Default for AdaptiveConfig {
     fn default() -> AdaptiveConfig {
         AdaptiveConfig {
-            epoch: Duration::from_millis(250),
             decay: 0.5,
             drift_threshold: 0.15,
-            metric: DriftMetric::TotalVariation,
-            min_epoch_hits: 1,
-            incremental: true,
             epsilon: 0.0,
             hysteresis_epochs: 1,
             cooldown_epochs: 0,
-            coalesce: 0,
         }
+    }
+}
+
+impl AdaptiveConfig {
+    /// Rejects values the loop cannot run with: a decay outside `[0, 1]`
+    /// and a negative or NaN threshold (NaN would never fire).
+    fn validate(&self) -> Result<(), Error> {
+        let bad = |field, value, expected| {
+            Err(Error::Config(ConfigError {
+                field,
+                value,
+                expected,
+            }))
+        };
+        if !(0.0..=1.0).contains(&self.decay) {
+            return bad("decay", self.decay, "in [0, 1]");
+        }
+        if self.drift_threshold.is_nan() || self.drift_threshold < 0.0 {
+            return bad("drift_threshold", self.drift_threshold, "nonnegative");
+        }
+        Ok(())
     }
 }
 
@@ -91,7 +89,7 @@ pub struct CompiledProgram {
     /// optimized under.
     pub optimized_under_points: usize,
     /// Top-level forms served from the incremental cache when this
-    /// generation was compiled (0 for from-scratch compiles).
+    /// generation was compiled.
     pub reused_forms: usize,
     /// Top-level forms (re-)expanded when this generation was compiled.
     pub reexpanded_forms: usize,
@@ -117,49 +115,24 @@ pub struct EpochReport {
     pub streak: u32,
     /// Epochs of post-re-optimization cooldown remaining.
     pub cooldown: u32,
-    /// Coalescing-writer buffer flushes performed during this epoch.
-    pub flush_writes: u64,
-    /// Counter hits merged away by coalescing during this epoch (hits
-    /// absorbed into local buffers minus distinct slot writes pushed).
-    pub flush_merged: u64,
 }
 
+/// Epoch aggregation state. Only the engine thread touches it.
 struct AggState {
     rolling: RollingProfile,
-    /// Weights the current program generation was optimized under.
-    baseline: ProfileInformation,
+    /// The drift policy; its baseline is the weights the current program
+    /// generation was optimized under.
+    detector: HysteresisDetector,
     epoch: u64,
-    /// Consecutive over-threshold epochs (hysteresis accumulator; see
-    /// [`crate::HysteresisDetector`] for the standalone form).
-    streak: u32,
-    /// Epochs left in the post-re-optimization cooldown window.
-    cooldown_left: u64,
 }
 
-struct EpochStep {
-    epoch: u64,
-    hits: u64,
-    drift: f64,
-    fired: bool,
-    streak: u32,
-    cooldown: u32,
-    weights: ProfileInformation,
-}
-
-/// State shared between the engine thread, worker threads, and the
-/// background aggregator.
+/// State shared between the engine thread and worker handles.
 struct Shared {
     source: String,
     file: String,
     setup: Option<Setup>,
     counters: ShardedCounters,
-    /// [`AdaptiveConfig::coalesce`], copied here so worker-side handles
-    /// can batch without holding the whole config.
-    coalesce: usize,
     program: RwLock<Arc<CompiledProgram>>,
-    agg: Mutex<AggState>,
-    pending: Mutex<Option<ProfileInformation>>,
-    drift_pending: AtomicBool,
     reoptimizations: AtomicU64,
 }
 
@@ -171,46 +144,6 @@ impl Shared {
             setup(&mut engine)?;
         }
         Ok(engine)
-    }
-
-    /// The aggregation half of an epoch: drain, decay, measure drift.
-    /// Runs on either the engine thread (`tick`) or the background
-    /// aggregator; re-optimization itself always happens on the engine
-    /// thread because `pgmp::Engine` is single-threaded.
-    ///
-    /// Firing is damped: the raw threshold must be exceeded for
-    /// [`AdaptiveConfig::hysteresis_epochs`] consecutive eligible epochs,
-    /// and never within [`AdaptiveConfig::cooldown_epochs`] of the last
-    /// re-optimization.
-    fn epoch_step(&self, config: &AdaptiveConfig) -> EpochStep {
-        let epoch_data = self.counters.drain();
-        let hits: u64 = epoch_data.iter().map(|(_, c)| c).sum();
-        let mut agg = self.agg.lock().expect("adaptive aggregation state poisoned");
-        agg.epoch += 1;
-        agg.rolling.absorb(&epoch_data);
-        let weights = agg.rolling.weights();
-        let value = drift(&weights, &agg.baseline, config.metric);
-        let over = value > config.drift_threshold && hits >= config.min_epoch_hits;
-        let fired = if agg.cooldown_left > 0 {
-            agg.cooldown_left -= 1;
-            false
-        } else {
-            if over {
-                agg.streak += 1;
-            } else {
-                agg.streak = 0;
-            }
-            agg.streak >= config.hysteresis_epochs.max(1)
-        };
-        EpochStep {
-            epoch: agg.epoch,
-            hits,
-            drift: value,
-            fired,
-            streak: agg.streak,
-            cooldown: agg.cooldown_left as u32,
-            weights,
-        }
     }
 }
 
@@ -225,30 +158,6 @@ impl AdaptiveHandle {
     /// The shared counter registry workers feed.
     pub fn counters(&self) -> &ShardedCounters {
         &self.shared.counters
-    }
-
-    /// Merges one instrumented run's dataset into the shared registry,
-    /// through a coalescing writer when [`AdaptiveConfig::coalesce`] is on.
-    pub fn absorb(&self, dataset: &pgmp_profiler::Dataset) {
-        if self.shared.coalesce > 0 {
-            let mut w = self.shared.counters.writer(self.shared.coalesce);
-            for (p, c) in dataset.iter() {
-                if c > 0 {
-                    w.add(p, c);
-                }
-            }
-            // Dropping the writer flushes the tail, so the merge is fully
-            // visible before absorb returns.
-        } else {
-            self.shared.counters.absorb(dataset);
-        }
-    }
-
-    /// Cumulative flush statistics of the coalescing writers used by
-    /// [`AdaptiveHandle::absorb`]/[`AdaptiveHandle::collect_run`] (all
-    /// zero when [`AdaptiveConfig::coalesce`] is 0).
-    pub fn flush_stats(&self) -> pgmp_rt::FlushStatsSnapshot {
-        self.shared.counters.flush_stats()
     }
 
     /// The program generation currently being served. The returned `Arc`
@@ -271,12 +180,6 @@ impl AdaptiveHandle {
         self.shared.reoptimizations.load(Ordering::Relaxed)
     }
 
-    /// True when the background aggregator has detected drift and a call
-    /// to [`AdaptiveEngine::poll_reoptimize`] would recompile.
-    pub fn drift_pending(&self) -> bool {
-        self.shared.drift_pending.load(Ordering::Relaxed)
-    }
-
     /// Runs the program once, instrumented, in a fresh engine, and merges
     /// the resulting counts into the shared registry — one unit of
     /// concurrent profile collection. `driver` optionally runs extra
@@ -297,7 +200,7 @@ impl AdaptiveHandle {
         if let Some(d) = driver {
             engine.run_str(d, "adaptive-driver.scm")?;
         }
-        self.absorb(&engine.counters().snapshot());
+        self.shared.counters.absorb(&engine.counters().snapshot());
         Ok(())
     }
 }
@@ -333,37 +236,28 @@ struct VmServing {
 /// 1. worker threads feed a [`ShardedCounters`] registry (directly, or by
 ///    absorbing instrumented runs — see [`AdaptiveEngine::collect_run`]);
 /// 2. each epoch, the registry is drained into a [`RollingProfile`]
-///    (exponential decay, so old behavior ages out) —
-///    [`crate::RollingProfile`];
-/// 3. the current rolling weights are compared against the weights the
-///    serving program was optimized under ([`crate::DriftDetector`]
-///    semantics, inlined here);
-/// 4. on drift, the program is re-expanded and bytecode-compiled through a
-///    fresh [`pgmp::Engine`] with the new weights, and the resulting
-///    [`CompiledProgram`] is atomically swapped in for readers.
+///    (exponential decay, so old behavior ages out);
+/// 3. a [`HysteresisDetector`] compares the current rolling weights
+///    against the weights the serving program was optimized under;
+/// 4. on drift, the program is re-expanded through the per-form
+///    incremental cache ([`pgmp::IncrementalEngine`]: only forms whose
+///    consulted weights changed re-expand) and bytecode-compiled, and the
+///    resulting [`CompiledProgram`] is atomically swapped in for readers.
 ///
 /// `pgmp::Engine` itself is single-threaded, so compilation happens on
 /// whichever thread owns the `AdaptiveEngine`; everything workers touch
-/// ([`AdaptiveHandle`]) is `Send + Sync`. Epochs can be driven
-/// synchronously with [`tick`](AdaptiveEngine::tick) (deterministic —
-/// what tests and the CLI use) or from a background thread with
-/// [`spawn_aggregator`](AdaptiveEngine::spawn_aggregator) +
-/// [`poll_reoptimize`](AdaptiveEngine::poll_reoptimize).
+/// ([`AdaptiveHandle`]) is `Send + Sync`. The owner drives epochs with
+/// [`tick`](AdaptiveEngine::tick), at whatever cadence it chooses.
 pub struct AdaptiveEngine {
     config: AdaptiveConfig,
     shared: Arc<Shared>,
-    /// The persistent per-form cache used by the incremental re-optimize
-    /// path (`None` when [`AdaptiveConfig::incremental`] is off). Lives on
+    agg: AggState,
+    /// The persistent per-form cache every compile goes through. Lives on
     /// the engine (not in [`Shared`]): compilation is single-threaded.
-    incremental: Option<IncrementalEngine>,
+    incremental: IncrementalEngine,
     /// VM-serving state ([`AdaptiveEngine::enable_vm_serving`]); `None`
-    /// until enabled. Requires the incremental path.
+    /// until enabled.
     serving: Option<VmServing>,
-    /// Cumulative flush stats at the end of the previous [`tick`], so each
-    /// epoch reports per-epoch deltas.
-    ///
-    /// [`tick`]: AdaptiveEngine::tick
-    last_flush: pgmp_rt::FlushStatsSnapshot,
 }
 
 impl AdaptiveEngine {
@@ -372,7 +266,9 @@ impl AdaptiveEngine {
     ///
     /// # Errors
     ///
-    /// Propagates read/expand errors from the initial compilation.
+    /// [`Error::Config`] for a decay outside `[0, 1]` or a negative or
+    /// NaN drift threshold; otherwise propagates read/expand errors from
+    /// the initial compilation.
     pub fn new(source: &str, file: &str, config: AdaptiveConfig) -> Result<AdaptiveEngine, Error> {
         AdaptiveEngine::build(source, file, config, None)
     }
@@ -383,7 +279,8 @@ impl AdaptiveEngine {
     ///
     /// # Errors
     ///
-    /// Propagates setup and initial-compilation errors.
+    /// [`Error::Config`] as for [`AdaptiveEngine::new`]; otherwise
+    /// propagates setup and initial-compilation errors.
     pub fn with_setup(
         source: &str,
         file: &str,
@@ -399,6 +296,7 @@ impl AdaptiveEngine {
         config: AdaptiveConfig,
         setup: Option<Setup>,
     ) -> Result<AdaptiveEngine, Error> {
+        config.validate()?;
         let placeholder = Arc::new(CompiledProgram {
             generation: 0,
             expansion: Vec::new(),
@@ -412,39 +310,35 @@ impl AdaptiveEngine {
             file: file.to_owned(),
             setup,
             counters: ShardedCounters::new(),
-            coalesce: config.coalesce,
             program: RwLock::new(placeholder),
-            agg: Mutex::new(AggState {
-                rolling: RollingProfile::new(config.decay),
-                baseline: ProfileInformation::empty(),
-                epoch: 0,
-                streak: 0,
-                cooldown_left: 0,
-            }),
-            pending: Mutex::new(None),
-            drift_pending: AtomicBool::new(false),
             reoptimizations: AtomicU64::new(0),
         });
-        let incremental = if config.incremental {
-            Some(IncrementalEngine::with_engine(
-                shared.fresh_engine()?,
-                source,
-                file,
-                IncrementalConfig {
-                    epsilon: config.epsilon,
-                },
-            )?)
-        } else {
-            None
+        let incremental = IncrementalEngine::with_engine(
+            shared.fresh_engine()?,
+            source,
+            file,
+            IncrementalConfig {
+                epsilon: config.epsilon,
+            },
+        )?;
+        let agg = AggState {
+            rolling: RollingProfile::new(config.decay),
+            detector: HysteresisDetector::new(
+                METRIC,
+                config.drift_threshold,
+                config.hysteresis_epochs,
+                config.cooldown_epochs,
+            ),
+            epoch: 0,
         };
         let mut engine = AdaptiveEngine {
             config,
             shared,
+            agg,
             incremental,
             serving: None,
-            last_flush: pgmp_rt::FlushStatsSnapshot::default(),
         };
-        let gen0 = engine.compile(ProfileInformation::empty(), 0)?;
+        let gen0 = engine.compile(&ProfileInformation::empty(), 0)?;
         *engine
             .shared
             .program
@@ -497,30 +391,9 @@ impl AdaptiveEngine {
     ///
     /// # Errors
     ///
-    /// Fails when [`AdaptiveConfig::incremental`] is off — serving depends
-    /// on the cache keeping chunk ids stable for reused forms — and
-    /// propagates compile/run errors.
+    /// Propagates compile/run errors.
     pub fn enable_vm_serving(&mut self, dispatch: DispatchMode, fuse: bool) -> Result<(), Error> {
-        if self.incremental.is_none() {
-            return Err(Error::Eval(EvalError::new(
-                EvalErrorKind::Runtime,
-                "VM serving requires the incremental re-optimization path \
-                 (AdaptiveConfig::incremental)",
-            )));
-        }
-        let weights = {
-            let agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            agg.baseline.clone()
-        };
-        let unit = self
-            .incremental
-            .as_mut()
-            .expect("checked above")
-            .compile(&weights)?;
+        let unit = self.incremental.compile(self.agg.detector.baseline())?;
         let counters = BlockCounters::new();
         let mut vm = Vm::new();
         vm.dispatch = dispatch;
@@ -561,17 +434,10 @@ impl AdaptiveEngine {
         }
         let mut last = self.run_serving_chunks()?;
         if let Some(src) = driver {
-            let incr = self
-                .incremental
-                .as_mut()
-                .expect("VM serving requires the incremental path");
-            let cores = incr.engine_mut().expand_to_core(src, "adaptive-vm-driver.scm")?;
+            let engine = self.incremental.engine_mut();
+            let cores = engine.expand_to_core(src, "adaptive-vm-driver.scm")?;
             let serving = self.serving.as_mut().expect("checked above");
-            let incr = self
-                .incremental
-                .as_mut()
-                .expect("VM serving requires the incremental path");
-            let interp = incr.engine_mut().interp_mut();
+            let interp = engine.interp_mut();
             for core in &cores {
                 last = serving.vm.run_core(interp, core)?.write_string();
             }
@@ -586,56 +452,29 @@ impl AdaptiveEngine {
         self.serving.as_ref().map(|s| s.vm.metrics)
     }
 
-    /// Compiles the program under `weights` (expansion + bytecode), off
-    /// to the side; does not swap. Incremental when configured: only
-    /// forms whose recorded profile reads changed re-expand.
+    /// Compiles the program under `weights` (expansion + bytecode) through
+    /// the incremental cache, off to the side; does not swap. Only forms
+    /// whose recorded profile reads changed re-expand.
     fn compile(
         &mut self,
-        weights: ProfileInformation,
+        weights: &ProfileInformation,
         generation: u64,
     ) -> Result<Arc<CompiledProgram>, Error> {
-        let optimized_under_points = weights.len();
-        if let Some(incr) = self.incremental.as_mut() {
-            let unit = incr.compile(&weights)?;
-            let cfgs = unit.cfgs();
-            if let Some(serving) = self.serving.as_mut() {
-                // Hand the new generation's chunks to the serving VM;
-                // reused forms keep their chunk ids, so the counters
-                // collected under the previous generation still apply.
-                serving.chunks = unit.chunks;
-            }
-            return Ok(Arc::new(CompiledProgram {
-                generation,
-                expansion: unit.expansion,
-                cfgs,
-                optimized_under_points,
-                reused_forms: unit.stats.reused,
-                reexpanded_forms: unit.stats.reexpanded,
-            }));
+        let unit = self.incremental.compile(weights)?;
+        let cfgs = unit.cfgs();
+        if let Some(serving) = self.serving.as_mut() {
+            // Hand the new generation's chunks to the serving VM; reused
+            // forms keep their chunk ids, so the counters collected under
+            // the previous generation still apply.
+            serving.chunks = unit.chunks;
         }
-        let mut engine = self.shared.fresh_engine()?;
-        engine.set_profile(weights);
-        let expansion: Vec<String> = engine
-            .expand_str(&self.shared.source, &self.shared.file)?
-            .iter()
-            .map(|s| s.to_datum().to_string())
-            .collect();
-        // Replay generated profile points so the bytecode pass sees the
-        // same points the expansion pass saw (§4.1 determinism).
-        engine.reset_profile_points();
-        let cfgs: Vec<String> = engine
-            .expand_to_core(&self.shared.source, &self.shared.file)?
-            .iter()
-            .map(|c| canonical_form(&compile_chunk(c)))
-            .collect();
-        let reexpanded_forms = expansion.len();
         Ok(Arc::new(CompiledProgram {
             generation,
-            expansion,
+            expansion: unit.expansion,
             cfgs,
-            optimized_under_points,
-            reused_forms: 0,
-            reexpanded_forms,
+            optimized_under_points: weights.len(),
+            reused_forms: unit.stats.reused,
+            reexpanded_forms: unit.stats.reexpanded,
         }))
     }
 
@@ -650,7 +489,7 @@ impl AdaptiveEngine {
     fn reoptimize(&mut self, weights: ProfileInformation) -> Result<Arc<CompiledProgram>, Error> {
         let t = observe::timer();
         let next_gen = self.current_program().generation + 1;
-        let program = self.compile(weights.clone(), next_gen)?;
+        let program = self.compile(&weights, next_gen)?;
         let swap_us = {
             // A plain clock, not an observe span: the swap is interior
             // to the reoptimize span and reported as its `swap_us`.
@@ -670,16 +509,7 @@ impl AdaptiveEngine {
             duration_us,
             swap_us,
         });
-        {
-            let mut agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            agg.baseline = weights;
-            agg.streak = 0;
-            agg.cooldown_left = self.config.cooldown_epochs;
-        }
+        self.agg.detector.rebase(weights);
         self.shared.reoptimizations.fetch_add(1, Ordering::Relaxed);
         self.relayout_serving(next_gen)?;
         Ok(program)
@@ -733,11 +563,7 @@ impl AdaptiveEngine {
             .serving
             .as_mut()
             .expect("run_serving_chunks without serving state");
-        let incr = self
-            .incremental
-            .as_mut()
-            .expect("VM serving requires the incremental path");
-        let interp = incr.engine_mut().interp_mut();
+        let interp = self.incremental.engine_mut().interp_mut();
         let mut last = String::from("#<unspecified>");
         for chunk in &serving.chunks {
             last = serving.vm.run_chunk(interp, chunk)?.write_string();
@@ -745,9 +571,14 @@ impl AdaptiveEngine {
         Ok(last)
     }
 
-    /// Runs one epoch synchronously: drain counters into the rolling
-    /// profile, measure drift, and — if the detector fires — recompile and
-    /// swap within this call.
+    /// Runs one epoch: drains the counters into the rolling profile,
+    /// measures drift, and — if the detector fires — recompiles and swaps
+    /// within this call.
+    ///
+    /// Firing is damped: the raw threshold must be exceeded for
+    /// [`AdaptiveConfig::hysteresis_epochs`] consecutive epochs that
+    /// counted at least one hit, and never within
+    /// [`AdaptiveConfig::cooldown_epochs`] of the last re-optimization.
     ///
     /// # Errors
     ///
@@ -755,31 +586,33 @@ impl AdaptiveEngine {
     /// fail.
     pub fn tick(&mut self) -> Result<EpochReport, Error> {
         let t = observe::timer();
-        let step = self.shared.epoch_step(&self.config);
-        let mut reoptimized = false;
-        if step.fired {
-            self.reoptimize(step.weights.clone())?;
-            reoptimized = true;
+        let epoch_data = self.shared.counters.drain();
+        let hits: u64 = epoch_data.iter().map(|(_, c)| c).sum();
+        let agg = &mut self.agg;
+        agg.epoch += 1;
+        agg.rolling.absorb(&epoch_data);
+        let weights = agg.rolling.weights();
+        let reading = agg.detector.observe_epoch(&weights, hits == 0);
+        // The damping state the decision was taken in, before a
+        // re-optimization rebases the detector.
+        let (epoch, streak, cooldown) = (
+            agg.epoch,
+            agg.detector.streak(),
+            agg.detector.cooldown_left(),
+        );
+        if reading.fired {
+            self.reoptimize(weights)?;
         }
-        let flush = self.shared.counters.flush_stats();
-        let merged_total = flush.buffered_hits.saturating_sub(flush.flushed_slots);
-        let last_merged = self
-            .last_flush
-            .buffered_hits
-            .saturating_sub(self.last_flush.flushed_slots);
         let report = EpochReport {
-            epoch: step.epoch,
-            hits: step.hits,
-            drift: step.drift,
-            fired: step.fired,
-            reoptimized,
+            epoch,
+            hits,
+            drift: reading.value,
+            fired: reading.fired,
+            reoptimized: reading.fired,
             generation: self.current_program().generation,
-            streak: step.streak,
-            cooldown: step.cooldown,
-            flush_writes: flush.flushes.saturating_sub(self.last_flush.flushes),
-            flush_merged: merged_total.saturating_sub(last_merged),
+            streak,
+            cooldown,
         };
-        self.last_flush = flush;
         self.publish_epoch_metrics(&report);
         observe::finish(t, |duration_us| observe::EventKind::Epoch {
             epoch: report.epoch,
@@ -790,8 +623,10 @@ impl AdaptiveEngine {
             generation: report.generation,
             streak: report.streak,
             cooldown: report.cooldown,
-            flush_writes: report.flush_writes,
-            flush_merged: report.flush_merged,
+            // Counter merges are no longer coalesced; the fields stay in
+            // the trace schema, always 0.
+            flush_writes: 0,
+            flush_merged: 0,
             duration_us,
         });
         Ok(report)
@@ -805,8 +640,6 @@ impl AdaptiveEngine {
         let m = observe::metrics();
         m.counter_add("adaptive.epochs", 1);
         m.counter_add("adaptive.hits", report.hits);
-        m.counter_add("adaptive.flush_writes", report.flush_writes);
-        m.counter_add("adaptive.flush_merged", report.flush_merged);
         if report.fired {
             m.counter_add("adaptive.fired", 1);
         }
@@ -823,71 +656,6 @@ impl AdaptiveEngine {
         if let Some(s) = &self.serving {
             m.gauge_set("vm.taken_jumps", s.vm.metrics.taken_jumps as f64);
             m.gauge_set("vm.fused_share", s.vm.metrics.fused_share());
-        }
-    }
-
-    /// Starts the epoch-based background aggregator: every
-    /// [`AdaptiveConfig::epoch`], it drains the counters, updates the
-    /// rolling profile, and measures drift on its own thread. When drift
-    /// fires it *flags* rather than recompiles (the engine is
-    /// single-threaded); the owning thread observes the flag via
-    /// [`AdaptiveHandle::drift_pending`] and recompiles with
-    /// [`AdaptiveEngine::poll_reoptimize`].
-    pub fn spawn_aggregator(&self) -> AggregatorGuard {
-        let shared = self.shared.clone();
-        let config = self.config.clone();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let join = std::thread::spawn(move || {
-            let mut epochs = 0u64;
-            while !stop_flag.load(Ordering::Relaxed) {
-                // Sleep in slices so stop() is prompt even for long epochs.
-                let mut remaining = config.epoch;
-                while !remaining.is_zero() && !stop_flag.load(Ordering::Relaxed) {
-                    let slice = remaining.min(Duration::from_millis(10));
-                    std::thread::sleep(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
-                let step = shared.epoch_step(&config);
-                epochs += 1;
-                if step.fired {
-                    *shared.pending.lock().expect("adaptive pending cell poisoned") =
-                        Some(step.weights);
-                    shared.drift_pending.store(true, Ordering::Release);
-                }
-            }
-            epochs
-        });
-        AggregatorGuard {
-            stop,
-            join: Some(join),
-        }
-    }
-
-    /// Consumes a pending drift flag from the background aggregator:
-    /// recompiles under the flagged weights and swaps. Returns the new
-    /// program, or `None` when no drift was pending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates re-optimization errors (the flag is consumed either
-    /// way; the next drifting epoch will re-raise it).
-    pub fn poll_reoptimize(&mut self) -> Result<Option<Arc<CompiledProgram>>, Error> {
-        if !self.shared.drift_pending.swap(false, Ordering::Acquire) {
-            return Ok(None);
-        }
-        let weights = self
-            .shared
-            .pending
-            .lock()
-            .expect("adaptive pending cell poisoned")
-            .take();
-        match weights {
-            Some(w) => self.reoptimize(w).map(Some),
-            None => Ok(None),
         }
     }
 
@@ -928,25 +696,17 @@ impl AdaptiveEngine {
         daemon_inst: u64,
         epoch: u64,
     ) -> Result<Option<Arc<CompiledProgram>>, Error> {
-        let value = {
-            let agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            drift(weights, &agg.baseline, self.config.metric)
-        };
-        observe::metrics().gauge_set("adaptive.fleet_drift", value);
-        let reoptimized = value > self.config.drift_threshold;
+        let reading = self.agg.detector.undamped().observe(weights);
+        observe::metrics().gauge_set("adaptive.fleet_drift", reading.value);
         // Emitted before the recompile so the merged timeline reads
         // decision-then-work: fleet_apply, then the reoptimize span.
         observe::emit(observe::EventKind::FleetApply {
             daemon_inst,
             epoch,
-            drift: value,
-            reoptimized,
+            drift: reading.value,
+            reoptimized: reading.fired,
         });
-        if !reoptimized {
+        if !reading.fired {
             return Ok(None);
         }
         let program = self.reoptimize(weights.clone())?;
@@ -963,16 +723,9 @@ impl AdaptiveEngine {
     ///
     /// Propagates I/O errors from the atomic write.
     pub fn save_snapshot(&self, path: impl AsRef<std::path::Path>) -> Result<(), Error> {
-        let snap = {
-            let agg = self
-                .shared
-                .agg
-                .lock()
-                .expect("adaptive aggregation state poisoned");
-            crate::EpochSnapshot::capture(&agg.rolling, &agg.baseline)
-        };
-        snap.store_file(path).map_err(Error::Profile)?;
-        Ok(())
+        crate::EpochSnapshot::capture(&self.agg.rolling, self.agg.detector.baseline())
+            .store_file(path)
+            .map_err(Error::Profile)
     }
 
     /// Restores aggregation state saved by
@@ -996,45 +749,11 @@ impl AdaptiveEngine {
         path: impl AsRef<std::path::Path>,
     ) -> Result<crate::EpochSnapshot, Error> {
         let snap = crate::EpochSnapshot::load_file(path).map_err(Error::Profile)?;
-        let mut agg = self
-            .shared
-            .agg
-            .lock()
-            .expect("adaptive aggregation state poisoned");
-        agg.rolling =
+        self.agg.rolling =
             RollingProfile::from_parts(self.config.decay, snap.epochs, snap.counts.clone());
-        agg.baseline = snap.baseline.clone();
-        agg.epoch = snap.epochs;
-        agg.streak = 0;
-        agg.cooldown_left = 0;
+        self.agg.detector.restore(snap.baseline.clone());
+        self.agg.epoch = snap.epochs;
         Ok(snap)
-    }
-}
-
-/// Stops (and joins) the background aggregator when dropped.
-pub struct AggregatorGuard {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<u64>>,
-}
-
-impl AggregatorGuard {
-    /// Stops the aggregator and returns how many epochs it ran.
-    pub fn stop(mut self) -> u64 {
-        self.shutdown()
-    }
-
-    fn shutdown(&mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        match self.join.take() {
-            Some(join) => join.join().unwrap_or(0),
-            None => 0,
-        }
-    }
-}
-
-impl Drop for AggregatorGuard {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -1132,18 +851,6 @@ mod tests {
         let tj = after.taken_jumps - before.taken_jumps;
         assert!(ft + tj > 0, "no control transfers measured");
         ft as f64 / (ft + tj) as f64
-    }
-
-    #[test]
-    fn vm_serving_requires_the_incremental_path() {
-        let config = AdaptiveConfig {
-            incremental: false,
-            ..AdaptiveConfig::default()
-        };
-        let mut engine = AdaptiveEngine::new("(define x 1)", "p.scm", config).unwrap();
-        assert!(engine.enable_vm_serving(DispatchMode::Flat, false).is_err());
-        assert!(!engine.vm_serving_enabled());
-        assert!(engine.vm_metrics().is_none());
     }
 
     #[test]
@@ -1285,39 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn background_aggregator_flags_drift_for_the_engine_thread() {
-        let config = AdaptiveConfig {
-            epoch: Duration::from_millis(15),
-            drift_threshold: 0.2,
-            ..AdaptiveConfig::default()
-        };
-        let mut engine = AdaptiveEngine::new(IF_R, "ifr.scm", config).unwrap();
-        let handle = engine.handle();
-        let aggregator = engine.spawn_aggregator();
-
-        // Feed traffic from a worker thread while the aggregator runs.
-        std::thread::scope(|s| {
-            let h = engine.handle();
-            let worker = s.spawn(move || h.collect_run(Some(&drive(10, 60))));
-            worker.join().unwrap().unwrap();
-        });
-
-        // Wait (bounded) for the aggregator to notice.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !handle.drift_pending() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(handle.drift_pending(), "aggregator never flagged drift");
-        let epochs = aggregator.stop();
-        assert!(epochs >= 1);
-
-        let program = engine.poll_reoptimize().unwrap().expect("pending reopt");
-        assert_eq!(program.generation, 1);
-        assert!(engine.poll_reoptimize().unwrap().is_none(), "flag must be consumed");
-        assert_eq!(handle.reoptimizations(), 1);
-    }
-
-    #[test]
     fn fleet_profile_drives_reoptimization() {
         let config = AdaptiveConfig {
             drift_threshold: 0.2,
@@ -1367,5 +1041,137 @@ mod tests {
         handle.counters().add(p, 41);
         handle.counters().increment(p);
         assert_eq!(engine.handle().counters().count(p), 42);
+    }
+
+    /// One epoch of `drive(lo, hi)` traffic (or none), then a tick.
+    fn epoch(engine: &mut AdaptiveEngine, traffic: Option<(i64, i64)>) -> EpochReport {
+        if let Some((lo, hi)) = traffic {
+            engine.collect_run(Some(&drive(lo, hi))).unwrap();
+        }
+        engine.tick().unwrap()
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error() {
+        let bad = |config| match AdaptiveEngine::new(IF_R, "ifr.scm", config) {
+            Err(Error::Config(c)) => c.field,
+            Err(e) => panic!("untyped error: {e}"),
+            Ok(_) => panic!("invalid config accepted"),
+        };
+        for decay in [2.0, -0.1, f64::NAN] {
+            let config = AdaptiveConfig {
+                decay,
+                ..AdaptiveConfig::default()
+            };
+            assert_eq!(bad(config), "decay");
+        }
+        for drift_threshold in [f64::NAN, -1.0] {
+            let config = AdaptiveConfig {
+                drift_threshold,
+                ..AdaptiveConfig::default()
+            };
+            assert_eq!(bad(config), "drift_threshold");
+        }
+    }
+
+    #[test]
+    fn hysteresis_rides_out_a_spike_and_fires_on_sustained_drift() {
+        let config = AdaptiveConfig {
+            hysteresis_epochs: 2,
+            ..AdaptiveConfig::default()
+        };
+        let mut engine = AdaptiveEngine::new(IF_R, "ifr.scm", config).unwrap();
+        // A one-epoch spike against the empty generation-0 baseline, then
+        // an idle epoch: armed, disarmed, never fired.
+        let spike = epoch(&mut engine, Some((10, 60)));
+        assert!(spike.drift > 0.15 && !spike.fired, "{spike:?}");
+        assert_eq!(spike.streak, 1);
+        let idle = epoch(&mut engine, None);
+        assert!(!idle.fired);
+        assert_eq!(idle.streak, 0, "an idle epoch breaks the streak");
+        // Two drifting epochs in a row fire on the second.
+        let first = epoch(&mut engine, Some((10, 60)));
+        assert!(!first.fired);
+        assert_eq!(first.streak, 1);
+        let second = epoch(&mut engine, Some((10, 60)));
+        assert!(second.fired && second.reoptimized, "{second:?}");
+        assert_eq!((second.streak, second.generation), (2, 1));
+    }
+
+    #[test]
+    fn cooldown_skips_epochs_after_a_reoptimization() {
+        // Decay 0 keeps only the latest epoch, so every shifted epoch
+        // drifts from the generation-1 baseline by the same amount.
+        let config = AdaptiveConfig {
+            decay: 0.0,
+            drift_threshold: 0.05,
+            cooldown_epochs: 2,
+            ..AdaptiveConfig::default()
+        };
+        let mut engine = AdaptiveEngine::new(IF_R, "ifr.scm", config).unwrap();
+        let fire = epoch(&mut engine, Some((10, 60)));
+        assert!(fire.reoptimized);
+        assert_eq!(fire.cooldown, 0, "reported as of the decision");
+        for left in [1, 0] {
+            let skipped = epoch(&mut engine, Some((0, 10)));
+            assert!(skipped.drift > 0.05 && !skipped.fired, "{skipped:?}");
+            assert_eq!((skipped.cooldown, skipped.streak), (left, 0));
+        }
+        let fired = epoch(&mut engine, Some((0, 10)));
+        assert!(
+            fired.reoptimized,
+            "cooldown over, drift persists: {fired:?}"
+        );
+        assert_eq!(fired.generation, 2);
+    }
+
+    #[test]
+    fn restore_snapshot_clears_streak_and_cooldown() {
+        let dir = std::env::temp_dir().join(format!("pgmp-adapt-damp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("epoch.pgmp");
+        let config = AdaptiveConfig {
+            decay: 0.0,
+            drift_threshold: 0.05,
+            ..AdaptiveConfig::default()
+        };
+        let mut learned = AdaptiveEngine::new(IF_R, "ifr.scm", config.clone()).unwrap();
+        assert!(epoch(&mut learned, Some((10, 60))).reoptimized);
+        learned.save_snapshot(&path).unwrap();
+
+        // Streak: one drifting epoch arms a hysteresis-2 engine; after the
+        // restore, the next drifting epoch must arm it again, not fire.
+        let mut armed = AdaptiveEngine::new(
+            IF_R,
+            "ifr.scm",
+            AdaptiveConfig {
+                hysteresis_epochs: 2,
+                ..config.clone()
+            },
+        )
+        .unwrap();
+        assert_eq!(epoch(&mut armed, Some((0, 10))).streak, 1);
+        armed.restore_snapshot(&path).unwrap();
+        let after = epoch(&mut armed, Some((0, 10)));
+        assert!(after.drift > 0.05 && !after.fired, "{after:?}");
+        assert_eq!(after.streak, 1);
+
+        // Cooldown: a re-optimization starts a long cooldown; the restore
+        // ends it, so drift from the restored baseline fires at once.
+        let mut cooling = AdaptiveEngine::new(
+            IF_R,
+            "ifr.scm",
+            AdaptiveConfig {
+                cooldown_epochs: 100,
+                ..config
+            },
+        )
+        .unwrap();
+        assert!(epoch(&mut cooling, Some((0, 10))).reoptimized);
+        cooling.restore_snapshot(&path).unwrap();
+        let after = epoch(&mut cooling, Some((0, 10)));
+        assert!(after.reoptimized, "{after:?}");
+        assert_eq!(after.cooldown, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

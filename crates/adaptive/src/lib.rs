@@ -7,8 +7,7 @@
 //! - [`ShardedCounters`] — a `Send + Sync` counter registry keyed by
 //!   interned profile points ([`pgmp_syntax::SourceObject`]). Points are
 //!   interned once to dense slots; bumps are lock-free relaxed atomics on
-//!   a [`pgmp_rt::AtomicSlotArray`], and write-heavy workers can batch
-//!   through a [`CountersWriter`]. Many worker threads bump it
+//!   a [`pgmp_rt::AtomicSlotArray`]. Many worker threads bump it
 //!   concurrently; snapshots come out as the existing
 //!   [`pgmp_profiler::Dataset`], so the paper's weight normalization and
 //!   dataset-merge machinery applies unchanged.
@@ -19,12 +18,12 @@
 //!   optimized under; [`HysteresisDetector`] damps it with
 //!   consecutive-epoch arming and a post-fire cooldown.
 //! - [`AdaptiveEngine`] — on drift, re-optimizes under the new weights
-//!   and atomically swaps the [`CompiledProgram`] readers see. By default
-//!   recompilation is *incremental* ([`pgmp::IncrementalEngine`]): only
+//!   and atomically swaps the [`CompiledProgram`] readers see.
+//!   Recompilation is *incremental* ([`pgmp::IncrementalEngine`]): only
 //!   top-level forms whose consulted profile weights changed re-expand.
-//!   Epochs are driven synchronously ([`AdaptiveEngine::tick`]) or by a
-//!   background aggregator thread ([`AdaptiveEngine::spawn_aggregator`] +
-//!   [`AdaptiveEngine::poll_reoptimize`]).
+//!   The owning thread drives each epoch with [`AdaptiveEngine::tick`];
+//!   the engine's drift policy is a [`HysteresisDetector`] over
+//!   total-variation distance.
 //!
 //! The crate deliberately reuses the single-threaded pipeline for the
 //! heavy lifting — expansion, profile points, weights, bytecode — and adds
@@ -37,10 +36,8 @@ mod engine;
 mod rolling;
 mod snapshot;
 
-pub use counters::{CountersWriter, ShardedCounters};
+pub use counters::ShardedCounters;
 pub use drift::{drift, DriftDetector, DriftMetric, DriftReading, HysteresisDetector};
-pub use engine::{
-    AdaptiveConfig, AdaptiveEngine, AdaptiveHandle, AggregatorGuard, CompiledProgram, EpochReport,
-};
+pub use engine::{AdaptiveConfig, AdaptiveEngine, AdaptiveHandle, CompiledProgram, EpochReport};
 pub use rolling::RollingProfile;
 pub use snapshot::EpochSnapshot;

@@ -37,23 +37,17 @@
 //!                                and drift baseline — instead)
 //!
 //!   --adaptive                   online mode: epochs of concurrent profile
-//!                                collection, drift detection, re-optimization
+//!                                collection, drift detection, incremental
+//!                                re-optimization through the per-form cache
 //!   --epochs <n>                 adaptive: number of epochs to run (default 4)
 //!   --threads <n>                adaptive: worker threads per epoch (default 2)
-//!   --epoch-ms <ms>              adaptive: background epoch length (default 250)
 //!   --drift-threshold <t>        adaptive: re-optimize when drift > t (default 0.15)
 //!   --decay <d>                  adaptive: per-epoch profile decay in [0,1] (default 0.5)
 //!   --hysteresis <n>             adaptive: consecutive drifting epochs before
 //!                                re-optimizing (default 1)
 //!   --cooldown <n>               adaptive: epochs to skip detection after a
-//!                                re-optimization (default 0)
-//!   --no-incremental             adaptive: recompile from scratch on drift
-//!                                instead of using the per-form cache
-//!   --coalesce <n>               adaptive: buffer worker counter merges in
-//!                                thread-local coalescing writers of n
-//!                                distinct points, flushed at the latest at
-//!                                the epoch boundary; prints per-epoch
-//!                                flush statistics (0 = off, the default)
+//!                                re-optimization (default 0, at most
+//!                                4294967295)
 //!
 //!   --dispatch <flat|match>      VM execution engine for --incremental /
 //!                                --adaptive runs: flat code streams (the
@@ -135,13 +129,10 @@ struct Options {
     adaptive: bool,
     epochs: u64,
     threads: usize,
-    epoch_ms: u64,
     drift_threshold: f64,
     decay: f64,
     hysteresis: u32,
-    cooldown: u64,
-    adaptive_incremental: bool,
-    coalesce: usize,
+    cooldown: u32,
     dispatch: Option<DispatchMode>,
     fuse: bool,
     vm_metrics: bool,
@@ -159,9 +150,9 @@ fn usage() -> ! {
          \u{20}               [--store P] [--expand] [--libs names] [--wrap-lambda]\n\
          \u{20}               [--sample-hz HZ] [--store-format 1|2]\n\
          \u{20}               [--incremental [--save-state F] [--load-state F]]\n\
-         \u{20}               [--adaptive [--epochs N] [--threads N] [--epoch-ms MS]\n\
+         \u{20}               [--adaptive [--epochs N] [--threads N]\n\
          \u{20}               [--drift-threshold T] [--decay D] [--hysteresis N]\n\
-         \u{20}               [--cooldown N] [--no-incremental] [--coalesce N]]\n\
+         \u{20}               [--cooldown N]]\n\
          \u{20}               [--dispatch flat|match] [--fuse] [--vm-metrics]\n\
          \u{20}               [--publish SOCKET] [--subscribe SOCKET]\n\
          \u{20}               [--trace OUT.jsonl] [--metrics] [--metrics-out F]\n\
@@ -216,13 +207,10 @@ fn parse_args() -> Options {
         adaptive: false,
         epochs: 4,
         threads: 2,
-        epoch_ms: 250,
         drift_threshold: 0.15,
         decay: 0.5,
         hysteresis: 1,
         cooldown: 0,
-        adaptive_incremental: true,
-        coalesce: 0,
         dispatch: None,
         fuse: false,
         vm_metrics: false,
@@ -259,13 +247,10 @@ fn parse_args() -> Options {
             "--adaptive" => opts.adaptive = true,
             "--epochs" => opts.epochs = parse_num(args.next()),
             "--threads" => opts.threads = parse_num(args.next()),
-            "--epoch-ms" => opts.epoch_ms = parse_num(args.next()),
             "--drift-threshold" => opts.drift_threshold = parse_num(args.next()),
             "--decay" => opts.decay = parse_num(args.next()),
             "--hysteresis" => opts.hysteresis = parse_num(args.next()),
             "--cooldown" => opts.cooldown = parse_num(args.next()),
-            "--no-incremental" => opts.adaptive_incremental = false,
-            "--coalesce" => opts.coalesce = parse_num(args.next()),
             "--dispatch" => {
                 opts.dispatch = Some(
                     args.next()
@@ -322,23 +307,11 @@ fn describe_vm_metrics(m: &VmMetrics) -> String {
 /// aggregated with decay, and drift past the threshold re-expands and
 /// recompiles the program through a fresh engine before the next epoch.
 fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> {
-    if !(0.0..=1.0).contains(&opts.decay) {
-        return Err(format!("--decay must be in [0, 1], got {}", opts.decay));
-    }
-    if opts.drift_threshold < 0.0 {
-        return Err(format!(
-            "--drift-threshold must be nonnegative, got {}",
-            opts.drift_threshold
-        ));
-    }
     let config = AdaptiveConfig {
-        epoch: Duration::from_millis(opts.epoch_ms),
         decay: opts.decay,
         drift_threshold: opts.drift_threshold,
-        incremental: opts.adaptive_incremental,
         hysteresis_epochs: opts.hysteresis,
         cooldown_epochs: opts.cooldown,
-        coalesce: opts.coalesce,
         ..AdaptiveConfig::default()
     };
     let libs = opts.libs.clone();
@@ -350,7 +323,16 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
         }
         Ok(())
     })
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| match e {
+        // The config fields are named after their flags.
+        pgmp::Error::Config(c) => format!(
+            "--{} must be {}, got {}",
+            c.field.replace('_', "-"),
+            c.expected,
+            c.value
+        ),
+        e => e.to_string(),
+    })?;
     if let Some(path) = &opts.load_state {
         let snap = engine.restore_snapshot(path).map_err(|e| e.to_string())?;
         eprintln!(
@@ -361,13 +343,6 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
     }
     let vm_serving = opts.vm_metrics || opts.fuse || opts.dispatch.is_some();
     if vm_serving {
-        if !opts.adaptive_incremental {
-            return Err(
-                "--dispatch/--fuse/--vm-metrics with --adaptive require the incremental \
-                 path (drop --no-incremental)"
-                    .into(),
-            );
-        }
         let dispatch = opts.dispatch.unwrap_or_default();
         engine
             .enable_vm_serving(dispatch, opts.fuse)
@@ -435,12 +410,6 @@ fn run_adaptive(opts: &Options, source: &str, file: &str) -> Result<(), String> 
             reuse,
             reg.gauge("adaptive.generation").unwrap_or(report.generation as f64) as u64,
         );
-        if opts.coalesce > 0 {
-            eprintln!(
-                "adaptive: epoch {} coalescing: {} flush(es) merged {} buffered hit(s)",
-                report.epoch, report.flush_writes, report.flush_merged,
-            );
-        }
         if vm_serving {
             // One unit of VM-served traffic per epoch; the line reports
             // this epoch's window (deltas), not cumulative totals.

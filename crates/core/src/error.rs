@@ -17,7 +17,32 @@ pub enum Error {
     Eval(EvalError),
     /// Profile data could not be stored or loaded.
     Profile(ProfileStoreError),
+    /// A configuration value lies outside its valid domain.
+    Config(ConfigError),
 }
+
+/// A configuration field set to a value it does not accept.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ConfigError {
+    /// The field's name, e.g. `decay`.
+    pub field: &'static str,
+    /// The rejected value.
+    pub value: f64,
+    /// What the field accepts, e.g. `in [0, 1]`.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} must be {}, got {}",
+            self.field, self.expected, self.value
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -26,6 +51,7 @@ impl fmt::Display for Error {
             Error::Expand(e) => write!(f, "{e}"),
             Error::Eval(e) => write!(f, "evaluation error: {e}"),
             Error::Profile(e) => write!(f, "{e}"),
+            Error::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -37,6 +63,7 @@ impl std::error::Error for Error {
             Error::Expand(e) => Some(e),
             Error::Eval(e) => Some(e),
             Error::Profile(e) => Some(e),
+            Error::Config(e) => Some(e),
         }
     }
 }

@@ -130,9 +130,10 @@ pub enum EventKind {
         streak: u32,
         /// Epochs of cooldown remaining (hysteresis state).
         cooldown: u32,
-        /// Coalescing-writer flushes observed this epoch.
+        /// Always 0: counter merges are not coalesced. Kept so the
+        /// schema stays byte-stable until its next version.
         flush_writes: u64,
-        /// Writes merged by coalescing before reaching shared counters.
+        /// Always 0, like `flush_writes`.
         flush_merged: u64,
         duration_us: u64,
     },

@@ -52,7 +52,7 @@ mod profiler;
 mod slots;
 
 pub use profiler::{Point, Profiler};
-pub use slots::{AtomicSlotArray, CoalescingWriter, FlushStats, FlushStatsSnapshot};
+pub use slots::AtomicSlotArray;
 
 use std::collections::HashMap;
 use std::fmt;

@@ -15,15 +15,9 @@
 //! initialization. [`AtomicSlotArray::take`] swaps a counter to zero,
 //! giving epoch aggregation its "every hit lands in exactly one drain"
 //! guarantee per slot.
-//!
-//! For write-heavy workloads where even an uncontended atomic per hit is
-//! too much, a [`CoalescingWriter`] buffers counts thread-locally and
-//! flushes them in batches (at the latest at an epoch boundary), trading
-//! shared-memory traffic for a bounded window of counts invisible to
-//! concurrent snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// log2 of the first segment's length.
 const FIRST_SEGMENT_BITS: u32 = 10;
@@ -139,128 +133,10 @@ impl AtomicSlotArray {
     }
 }
 
-/// Cumulative statistics of the [`CoalescingWriter`]s attached to one
-/// [`AtomicSlotArray`] owner.
-#[derive(Debug, Default)]
-pub struct FlushStats {
-    flushes: AtomicU64,
-    flushed_slots: AtomicU64,
-    buffered_hits: AtomicU64,
-}
-
-/// A point-in-time copy of [`FlushStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlushStatsSnapshot {
-    /// Number of buffer flushes.
-    pub flushes: u64,
-    /// Distinct `(flush, slot)` writes pushed to the shared array.
-    pub flushed_slots: u64,
-    /// Hits absorbed into local buffers (each flushed slot may carry many).
-    pub buffered_hits: u64,
-}
-
-impl FlushStats {
-    /// Reads the counters.
-    pub fn snapshot(&self) -> FlushStatsSnapshot {
-        FlushStatsSnapshot {
-            flushes: self.flushes.load(Ordering::Relaxed),
-            flushed_slots: self.flushed_slots.load(Ordering::Relaxed),
-            buffered_hits: self.buffered_hits.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A thread-local write-coalescing buffer over an [`AtomicSlotArray`].
-///
-/// `add` accumulates into a private dense buffer; `flush` pushes the
-/// buffered counts to the shared array in one pass (one atomic RMW per
-/// *distinct* slot, however many hits it absorbed). The buffer flushes
-/// itself when it holds `capacity` distinct slots, and on drop — so no
-/// hit is ever lost, merely delayed until the owner's next flush point
-/// (the epoch boundary, in the adaptive engine).
-#[derive(Debug)]
-pub struct CoalescingWriter {
-    array: Arc<AtomicSlotArray>,
-    stats: Arc<FlushStats>,
-    /// Pending count per slot (dense, grown on demand).
-    pending: Vec<u64>,
-    /// Slots with a nonzero pending count.
-    touched: Vec<u32>,
-    capacity: usize,
-}
-
-impl CoalescingWriter {
-    /// Creates a writer over `array` flushing automatically at `capacity`
-    /// distinct buffered slots (minimum 1).
-    pub fn new(
-        array: Arc<AtomicSlotArray>,
-        stats: Arc<FlushStats>,
-        capacity: usize,
-    ) -> CoalescingWriter {
-        CoalescingWriter {
-            array,
-            stats,
-            pending: Vec::new(),
-            touched: Vec::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Buffers `n` hits on `slot`, flushing if the buffer is full.
-    #[inline]
-    pub fn add(&mut self, slot: u32, n: u64) {
-        let i = slot as usize;
-        if i >= self.pending.len() {
-            self.pending.resize(i + 1, 0);
-        }
-        if self.pending[i] == 0 {
-            self.touched.push(slot);
-        }
-        self.pending[i] = self.pending[i].saturating_add(n);
-        self.stats.buffered_hits.fetch_add(n, Ordering::Relaxed);
-        if self.touched.len() >= self.capacity {
-            self.flush();
-        }
-    }
-
-    /// Buffers one hit on `slot`.
-    #[inline]
-    pub fn increment(&mut self, slot: u32) {
-        self.add(slot, 1);
-    }
-
-    /// Pushes every buffered count to the shared array and empties the
-    /// buffer. No-op when nothing is pending.
-    pub fn flush(&mut self) {
-        if self.touched.is_empty() {
-            return;
-        }
-        for &slot in &self.touched {
-            self.array.add(slot, self.pending[slot as usize]);
-            self.pending[slot as usize] = 0;
-        }
-        self.stats
-            .flushed_slots
-            .fetch_add(self.touched.len() as u64, Ordering::Relaxed);
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.touched.clear();
-    }
-
-    /// Distinct slots currently buffered.
-    pub fn pending_slots(&self) -> usize {
-        self.touched.len()
-    }
-}
-
-impl Drop for CoalescingWriter {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn locate_covers_segment_boundaries() {
@@ -331,27 +207,5 @@ mod tests {
         });
         let total: u64 = (0..16).map(|s| a.get(s)).sum();
         assert_eq!(total, threads * per_thread);
-    }
-
-    #[test]
-    fn coalescing_writer_flushes_at_capacity_and_on_drop() {
-        let a = Arc::new(AtomicSlotArray::new());
-        let stats = Arc::new(FlushStats::default());
-        {
-            let mut w = CoalescingWriter::new(a.clone(), stats.clone(), 2);
-            w.increment(0);
-            w.increment(0);
-            assert_eq!(a.get(0), 0, "buffered, not yet visible");
-            w.increment(1); // second distinct slot -> auto flush
-            assert_eq!(a.get(0), 2);
-            assert_eq!(a.get(1), 1);
-            w.increment(4);
-            // drops here -> final flush
-        }
-        assert_eq!(a.get(4), 1);
-        let s = stats.snapshot();
-        assert_eq!(s.flushes, 2);
-        assert_eq!(s.flushed_slots, 3);
-        assert_eq!(s.buffered_hits, 4);
     }
 }
